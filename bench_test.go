@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
-	"repro/internal/topk"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -299,7 +298,7 @@ func BenchmarkMedRank(b *testing.B) {
 		in, _ := randrank.MallowsEnsemble(rng, 5000, 5, tc.theta)
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := topk.MedRank(in, 10, topk.GlobalMerge); err != nil {
+				if _, err := MedRank(in, 10, GlobalMerge); err != nil {
 					b.Fatal(err)
 				}
 			}

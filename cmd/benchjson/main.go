@@ -189,18 +189,15 @@ func run(args []string, stdout io.Writer) error {
 	bench("sumdistance_kprof/workspace", func() error { _, err := aggregate.SumDistanceWith(ws, a, ens, metrics.KProfWS); return err })
 	bench("compareall/workspace", func() error { _, err := metrics.CompareAll(ens); return err })
 
-	// Top-k engine paths: the infallible cursor engine, the fallible-source
-	// engine on healthy sources (the abstraction overhead), and the fault
-	// paths (retry absorption, list death + rebuild). Sources are stateful,
-	// so each op builds its own stack; the cursor benchmark pays the same
-	// per-op setup implicitly inside MedRank.
+	// Top-k engine paths over list sources: healthy, and the fault paths
+	// (retry absorption, list death + rebuild). Sources are stateful, so each
+	// op builds its own stack.
 	const topkM, topkK = 5, 10
 	topkEns := randrank.CatalogEnsemble(rng, *n, topkM, 8, 1.0, 1.0).Rankings
-	newSources := func(planFor func(i int) *faults.Plan, retry bool) ([]faults.Source, *telemetry.AccessAccountant) {
+	medrank := topk.Spec{Algo: topk.AlgoMedRank, K: topkK, Policy: topk.RoundRobin}
+	runTopK := func(ctx context.Context, spec topk.Spec, planFor func(i int) *faults.Plan, retry bool) error {
 		acc := telemetry.NewAccessAccountant(topkM)
-		srcs := make([]faults.Source, topkM)
-		for i, r := range topkEns {
-			s := topk.NewListSource(r, acc, i)
+		srcs := topk.ListSources(topkEns, acc, func(i int, s faults.Source) faults.Source {
 			if plan := planFor(i); plan != nil {
 				p := *plan
 				p.Seed = *seed + int64(i)
@@ -213,64 +210,35 @@ func run(args []string, stdout io.Writer) error {
 				pol.Sleeper = &faults.FakeSleeper{}
 				s = faults.WithRetry(s, pol, acc, i)
 			}
-			srcs[i] = s
-		}
-		return srcs, acc
+			return s
+		})
+		_, err := topk.Run(ctx, spec, srcs, acc)
+		return err
 	}
 	noPlan := func(int) *faults.Plan { return nil }
+	// killFirst kills list 0 on its second access; the engine rebuilds over
+	// the four survivors and finishes degraded.
+	killFirst := func(i int) *faults.Plan {
+		if i != 0 {
+			return nil
+		}
+		return &faults.Plan{DeathAfter: 1}
+	}
 	ctx := context.Background()
-	bench("medrank/cursor", func() error {
-		_, err := topk.MedRank(topkEns, topkK, topk.RoundRobin)
-		return err
-	})
-	bench("medrank/source", func() error {
-		srcs, acc := newSources(noPlan, false)
-		_, err := topk.MedRankOver(ctx, srcs, topkK, topk.RoundRobin, acc)
-		return err
-	})
+	bench("medrank/source", func() error { return runTopK(ctx, medrank, noPlan, false) })
 	bench("medrank/source_retry", func() error {
-		srcs, acc := newSources(func(int) *faults.Plan {
+		return runTopK(ctx, medrank, func(int) *faults.Plan {
 			return &faults.Plan{TransientRate: 0.02}
 		}, true)
-		_, err := topk.MedRankOver(ctx, srcs, topkK, topk.RoundRobin, acc)
-		return err
 	})
-	bench("medrank/source_degraded", func() error {
-		// Kill one list on its second access; the engine rebuilds over the
-		// four survivors and finishes degraded.
-		srcs, acc := newSources(func(i int) *faults.Plan {
-			if i != 0 {
-				return nil
-			}
-			return &faults.Plan{DeathAfter: 1}
-		}, false)
-		_, err := topk.MedRankOver(ctx, srcs, topkK, topk.RoundRobin, acc)
-		return err
-	})
-	bench("ta/source", func() error {
-		srcs, acc := newSources(noPlan, false)
-		_, err := topk.ThresholdTopKOver(ctx, srcs, topkK, acc)
-		return err
-	})
-	bench("nra/source", func() error {
-		srcs, acc := newSources(noPlan, false)
-		_, err := topk.NRAOver(ctx, srcs, topkK, acc)
-		return err
-	})
+	bench("medrank/source_degraded", func() error { return runTopK(ctx, medrank, killFirst, false) })
+	bench("ta/source", func() error { return runTopK(ctx, topk.Spec{Algo: topk.AlgoTA, K: topkK}, noPlan, false) })
+	bench("nra/source", func() error { return runTopK(ctx, topk.Spec{Algo: topk.AlgoNRA, K: topkK}, noPlan, false) })
 	bench("nra/source_degraded", func() error {
-		srcs, acc := newSources(func(i int) *faults.Plan {
-			if i != 0 {
-				return nil
-			}
-			return &faults.Plan{DeathAfter: 1}
-		}, false)
-		_, err := topk.NRAOver(ctx, srcs, topkK, acc)
-		return err
+		return runTopK(ctx, topk.Spec{Algo: topk.AlgoNRA, K: topkK}, killFirst, false)
 	})
 	bench("ca/source", func() error {
-		srcs, acc := newSources(noPlan, false)
-		_, err := topk.CAOver(ctx, srcs, topkK, 10, acc)
-		return err
+		return runTopK(ctx, topk.Spec{Algo: topk.AlgoCA, K: topkK, CostRatio: 10}, noPlan, false)
 	})
 
 	// Telemetry overhead: the same healthy MedRank op measured three ways.
@@ -285,11 +253,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return rep.Benchmarks[len(rep.Benchmarks)-1].NsPerOp
 	}
-	medrankOp := func(opCtx context.Context) error {
-		srcs, acc := newSources(noPlan, false)
-		_, err := topk.MedRankOver(opCtx, srcs, topkK, topk.RoundRobin, acc)
-		return err
-	}
+	medrankOp := func(opCtx context.Context) error { return runTopK(opCtx, medrank, noPlan, false) }
 	telemetry.Disable()
 	baselineNs := benchNs("telemetry/medrank_disabled", func() error {
 		return medrankOp(ctx)

@@ -40,7 +40,6 @@ func TestRunEmitsAllBenchmarks(t *testing.T) {
 		"sumdistance_kprof/alloc":        false,
 		"sumdistance_kprof/workspace":    false,
 		"compareall/workspace":           false,
-		"medrank/cursor":                 false,
 		"medrank/source":                 false,
 		"medrank/source_retry":           false,
 		"medrank/source_degraded":        false,

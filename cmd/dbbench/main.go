@@ -53,6 +53,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/guard"
 	"repro/internal/randrank"
+	"repro/internal/ranking"
 	"repro/internal/service/debugserve"
 	"repro/internal/telemetry"
 	"repro/internal/topk"
@@ -72,12 +73,6 @@ type engineStats struct {
 	Random     int `json:"random"`
 	BucketIOs  int `json:"bucket_ios"`
 	MaxDepth   int `json:"max_depth"`
-	// OptimalityRatio is the legacy equal-weights ratio (total accesses over
-	// the sequential-only certificate). It is only sound — and only emitted —
-	// for engines that make no random accesses (MEDRANK, NRA); pricing TA's
-	// or CA's random accesses against a sequential-only bound was the bug
-	// this field's companion replaces.
-	OptimalityRatio float64 `json:"optimality_ratio,omitempty"`
 	// MiddlewareCost is the FLN cost cs·sequential + cr·random at
 	// (cs=1, cr=cost_ratio), and CostOptimalityRatio divides it by the
 	// cost-weighted certificate computed at the same weights.
@@ -87,16 +82,16 @@ type engineStats struct {
 
 // configStats is the JSON record emitted per configuration under -stats.
 type configStats struct {
-	N       int         `json:"n"`
-	M       int         `json:"m"`
-	Values  int         `json:"values"`
-	K       int         `json:"k"`
-	MedRank engineStats `json:"medrank"`
-	TA      engineStats `json:"ta"`
-	NRA     engineStats `json:"nra"`
-	CA      engineStats `json:"ca"`
-	FullScan    int `json:"full_scan"`
-	Certificate int `json:"certificate"`
+	N           int         `json:"n"`
+	M           int         `json:"m"`
+	Values      int         `json:"values"`
+	K           int         `json:"k"`
+	MedRank     engineStats `json:"medrank"`
+	TA          engineStats `json:"ta"`
+	NRA         engineStats `json:"nra"`
+	CA          engineStats `json:"ca"`
+	FullScan    int         `json:"full_scan"`
+	Certificate int         `json:"certificate"`
 	// CostRatio is the cR/cS weight of the sweep and CostCertificate the
 	// cost-weighted per-instance lower bound at (cs=1, cr=CostRatio),
 	// averaged over trials like Certificate.
@@ -246,102 +241,72 @@ func run(args []string, stdout io.Writer) error {
 // of trials and averages the access profile of MEDRANK and, when withAll is
 // set, of the TA, NRA, and CA baselines over the same ensembles. All engines
 // are priced under one cost model (cs=1, cr=costRatio) against one
-// cost-weighted certificate — the fix for the old report, which divided TA's
-// mixed access count by a sequential-only bound. A non-zero timeout is
-// applied per engine run; hitting it aborts the sweep.
+// cost-weighted certificate on MEDRANK's winners, which every engine shares.
+// A non-zero timeout is applied per engine run; hitting it aborts the sweep.
 func sweepConfig(rng *rand.Rand, n, m, nv, k int, zipf, theta float64, trials int, withAll bool, costRatio int, timeout time.Duration) (configStats, error) {
 	cs := configStats{N: n, M: m, Values: nv, K: k, CostRatio: costRatio}
-	var elapsed time.Duration
-	var medRatio, nraRatio float64
-	costRatios := make(map[string]float64, 4)
-	deadlined := func(run func(context.Context) error) error {
+	engines := []struct {
+		es   *engineStats
+		spec topk.Spec
+	}{
+		{&cs.MedRank, topk.Spec{Algo: topk.AlgoMedRank, K: k, Policy: topk.GlobalMergeBuckets}},
+		{&cs.TA, topk.Spec{Algo: topk.AlgoTA, K: k}},
+		{&cs.NRA, topk.Spec{Algo: topk.AlgoNRA, K: k}},
+		{&cs.CA, topk.Spec{Algo: topk.AlgoCA, K: k, CostRatio: costRatio}},
+	}
+	if !withAll {
+		engines = engines[:1]
+	}
+	run := func(rankings []*ranking.PartialRanking, spec topk.Spec) (*topk.Result, error) {
 		ctx := context.Background()
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		return run(ctx)
+		acc := telemetry.NewAccessAccountant(len(rankings))
+		return topk.Run(ctx, spec, topk.ListSources(rankings, acc, nil), acc)
 	}
-	accumulate := func(es *engineStats, name string, st topk.AccessStats, costCert int) {
-		es.Sequential += st.Total
-		es.Random += st.Random
-		es.BucketIOs += st.TotalBucketProbes
-		if st.MaxDepth > es.MaxDepth {
-			es.MaxDepth = st.MaxDepth
-		}
-		es.MiddlewareCost += st.MiddlewareCost(1, costRatio)
-		costRatios[name] += st.CostOptimalityRatio(1, costRatio, costCert)
-	}
+	var elapsed time.Duration
+	costRatios := make([]float64, len(engines))
 	for trial := 0; trial < trials; trial++ {
 		ens := randrank.CatalogEnsemble(rng, n, m, nv, zipf, theta)
-		start := time.Now()
-		var res *topk.Result
-		err := deadlined(func(ctx context.Context) error {
-			var err error
-			res, err = topk.MedRankContext(ctx, ens.Rankings, k, topk.GlobalMergeBuckets)
-			return err
-		})
-		elapsed += time.Since(start)
-		if err != nil {
-			return cs, err
-		}
-		cert := topk.CertificateLowerBound(ens.Rankings, res.Winners)
-		costCert := topk.CertificateLowerBoundCost(ens.Rankings, res.Winners, 1, costRatio)
-		cs.Certificate += cert
-		cs.CostCertificate += costCert
-		medRatio += res.Stats.OptimalityRatio(cert)
-		accumulate(&cs.MedRank, "medrank", res.Stats, costCert)
-		cs.FullScan += topk.FullScanCost(ens.Rankings).Total
-		if withAll {
-			for _, eng := range []struct {
-				name string
-				es   *engineStats
-				run  func(context.Context) (*topk.Result, error)
-			}{
-				{"ta", &cs.TA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.ThresholdTopKContext(ctx, ens.Rankings, k)
-				}},
-				{"nra", &cs.NRA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.NRAContext(ctx, ens.Rankings, k)
-				}},
-				{"ca", &cs.CA, func(ctx context.Context) (*topk.Result, error) {
-					return topk.CAContext(ctx, ens.Rankings, k, costRatio)
-				}},
-			} {
-				var r *topk.Result
-				err := deadlined(func(ctx context.Context) error {
-					var err error
-					r, err = eng.run(ctx)
-					return err
-				})
-				if err != nil {
-					return cs, err
-				}
-				if eng.name == "nra" {
-					// NRA makes no random accesses, so the legacy
-					// sequential-only ratio is sound for it too.
-					nraRatio += r.Stats.OptimalityRatio(cert)
-				}
-				accumulate(eng.es, eng.name, r.Stats, costCert)
+		var costCert int
+		for i, eng := range engines {
+			start := time.Now()
+			res, err := run(ens.Rankings, eng.spec)
+			if i == 0 {
+				elapsed += time.Since(start)
 			}
+			if err != nil {
+				return cs, err
+			}
+			if i == 0 {
+				cs.Certificate += topk.CertificateLowerBound(ens.Rankings, res.Winners)
+				costCert = topk.CertificateLowerBoundCost(ens.Rankings, res.Winners, 1, costRatio)
+				cs.CostCertificate += costCert
+				cs.FullScan += topk.FullScanCost(ens.Rankings).Total
+			}
+			st, es := res.Stats, eng.es
+			es.Sequential += st.Total
+			es.Random += st.Random
+			es.BucketIOs += st.TotalBucketProbes
+			es.MaxDepth = max(es.MaxDepth, st.MaxDepth)
+			es.MiddlewareCost += st.MiddlewareCost(1, costRatio)
+			costRatios[i] += st.CostOptimalityRatio(1, costRatio, costCert)
 		}
 	}
-	for _, es := range []*engineStats{&cs.MedRank, &cs.TA, &cs.NRA, &cs.CA} {
+	for i, eng := range engines {
+		es := eng.es
 		es.Sequential /= trials
 		es.Random /= trials
 		es.BucketIOs /= trials
 		es.MiddlewareCost /= trials
+		es.CostOptimalityRatio = costRatios[i] / float64(trials)
 	}
 	cs.FullScan /= trials
 	cs.Certificate /= trials
 	cs.CostCertificate /= trials
-	cs.MedRank.OptimalityRatio = medRatio / float64(trials)
-	cs.NRA.OptimalityRatio = nraRatio / float64(trials)
-	cs.MedRank.CostOptimalityRatio = costRatios["medrank"] / float64(trials)
-	cs.TA.CostOptimalityRatio = costRatios["ta"] / float64(trials)
-	cs.NRA.CostOptimalityRatio = costRatios["nra"] / float64(trials)
-	cs.CA.CostOptimalityRatio = costRatios["ca"] / float64(trials)
 	cs.ElapsedNs = int64(elapsed) / int64(trials)
 	return cs, nil
 }
@@ -409,7 +374,7 @@ func runCatalog(path, keyCol string, lenient bool, ks []int, stdout io.Writer) e
 			fmt.Fprintf(stdout, "  %d. %s (median position %g)\n", i+1, key, res.MedianPositions[i])
 		}
 		fmt.Fprintf(stdout, "  # probes: %d of %d (optimality ratio %.2f)\n",
-			res.Access.Total, res.FullScan.Total, res.OptimalityRatio)
+			res.Access.Total, res.FullScan.Total, res.CostOptimalityRatio)
 	}
 	return nil
 }

@@ -38,21 +38,11 @@ func TestRunStatsJSON(t *testing.T) {
 		if c.TA.Random <= 0 {
 			t.Errorf("k=%d: TA random accesses %d, want positive", c.K, c.TA.Random)
 		}
-		if c.MedRank.OptimalityRatio < 1 {
-			t.Errorf("k=%d: MEDRANK optimality ratio %v < 1", c.K, c.MedRank.OptimalityRatio)
-		}
 		if c.NRA.Sequential <= 0 || c.NRA.Random != 0 {
 			t.Errorf("k=%d: NRA profile %+v, want positive sequential and zero random", c.K, c.NRA)
 		}
 		if c.CA.Sequential <= 0 {
 			t.Errorf("k=%d: CA sequential accesses %d, want positive", c.K, c.CA.Sequential)
-		}
-		// The equal-weights ratio against a sequential-only bound is only
-		// sound for the no-random-access engines; the old report also priced
-		// TA with it, which is the bug this sweep no longer has.
-		if c.TA.OptimalityRatio != 0 || c.CA.OptimalityRatio != 0 {
-			t.Errorf("k=%d: legacy ratio emitted for a random-access engine: ta=%v ca=%v",
-				c.K, c.TA.OptimalityRatio, c.CA.OptimalityRatio)
 		}
 		if c.CostCertificate <= 0 || c.CostRatio != 10 {
 			t.Errorf("k=%d: cost certificate %d at ratio %d, want positive at 10", c.K, c.CostCertificate, c.CostRatio)

@@ -253,10 +253,11 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *costRatio < 0 {
 		return fmt.Errorf("-cost-ratio must be non-negative, got %d", *costRatio)
 	}
-	ratio := *costRatio
-	if ratio == 0 && (*algo == "ta" || *algo == "ca") {
-		ratio = 10
+	if err := topk.CheckAlgo(*algo); err != nil {
+		return fmt.Errorf("-algo: %v", err)
 	}
+	spec := topk.Spec{Algo: *algo, K: *k, Policy: topk.RoundRobin, CostRatio: topk.EffectiveCostRatio(*algo, *costRatio)}
+	ratio := spec.CostRatio
 	rs, dom, err := in.read(stdin)
 	if err != nil {
 		return err
@@ -267,25 +268,13 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res *topk.Result
-	switch *algo {
-	case "medrank":
-		res, err = topk.MedRankContext(ctx, rs, *k, topk.RoundRobin)
-	case "ta":
-		res, err = topk.ThresholdTopKContext(ctx, rs, *k)
-	case "nra":
-		res, err = topk.NRAContext(ctx, rs, *k)
-	case "ca":
-		res, err = topk.CAContext(ctx, rs, *k, ratio)
-	default:
-		return fmt.Errorf("unknown -algo %q (want medrank, ta, nra, or ca)", *algo)
-	}
+	acc := telemetry.NewAccessAccountant(len(rs))
+	res, err := topk.Run(ctx, spec, topk.ListSources(rs, acc, nil), acc)
 	if err != nil {
 		return err
 	}
 	full := topk.FullScanCost(rs)
 	if *stats {
-		cert := topk.CertificateLowerBound(rs, res.Winners)
 		costCert := topk.CertificateLowerBoundCost(rs, res.Winners, 1, ratio)
 		winners := make([]string, len(res.Winners))
 		for i, w := range res.Winners {
@@ -299,12 +288,11 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 			Access              topk.AccessStats `json:"access"`
 			FullScan            int              `json:"full_scan"`
 			Certificate         int              `json:"certificate"`
-			OptimalityRatio     float64          `json:"optimality_ratio"`
 			CostRatio           int              `json:"cost_ratio"`
 			MiddlewareCost      int              `json:"middleware_cost"`
 			CostCertificate     int              `json:"cost_certificate"`
 			CostOptimalityRatio float64          `json:"cost_optimality_ratio"`
-		}{*algo, winners, res.Stats, full.Total, cert, res.Stats.OptimalityRatio(cert),
+		}{*algo, winners, res.Stats, full.Total, topk.CertificateLowerBound(rs, res.Winners),
 			ratio, res.Stats.MiddlewareCost(1, ratio), costCert,
 			res.Stats.CostOptimalityRatio(1, ratio, costCert)})
 	}

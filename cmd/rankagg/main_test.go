@@ -49,11 +49,11 @@ func TestTopK(t *testing.T) {
 func TestTopKStats(t *testing.T) {
 	out := runCLI(t, []string{"topk", "-k", "2", "-stats"}, sample)
 	var doc struct {
-		Winners         []string `json:"winners"`
-		Access          struct{ Total, Random int }
-		FullScan        int     `json:"full_scan"`
-		Certificate     int     `json:"certificate"`
-		OptimalityRatio float64 `json:"optimality_ratio"`
+		Winners             []string `json:"winners"`
+		Access              struct{ Total, Random int }
+		FullScan            int     `json:"full_scan"`
+		Certificate         int     `json:"certificate"`
+		CostOptimalityRatio float64 `json:"cost_optimality_ratio"`
 	}
 	if err := json.Unmarshal([]byte(out), &doc); err != nil {
 		t.Fatalf("topk -stats output is not JSON: %v\n%s", err, out)
@@ -61,8 +61,8 @@ func TestTopKStats(t *testing.T) {
 	if len(doc.Winners) != 2 || doc.Access.Total <= 0 || doc.Access.Random != 0 {
 		t.Errorf("stats shape wrong: %+v", doc)
 	}
-	if doc.Certificate <= 0 || doc.OptimalityRatio < 1 {
-		t.Errorf("certificate %d ratio %v", doc.Certificate, doc.OptimalityRatio)
+	if doc.Certificate <= 0 || doc.CostOptimalityRatio < 1 {
+		t.Errorf("certificate %d ratio %v", doc.Certificate, doc.CostOptimalityRatio)
 	}
 }
 

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -251,11 +252,11 @@ func TestMedRankRelabelObjective(t *testing.T) {
 		perm := rng.Perm(n)
 		inR := relabelAll(t, in, perm)
 
-		orig, err := topk.MedRank(in, k, topk.GlobalMerge)
+		orig, err := topk.MedRankContext(context.Background(), in, k, topk.GlobalMerge)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := topk.MedRank(inR, k, topk.GlobalMerge)
+		rel, err := topk.MedRankContext(context.Background(), inR, k, topk.GlobalMerge)
 		if err != nil {
 			t.Fatal(err)
 		}

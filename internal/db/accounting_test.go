@@ -73,11 +73,11 @@ func TestQueryAccessCountsInvariants(t *testing.T) {
 			if res.Certificate <= 0 {
 				t.Errorf("k=%d: certificate %d, want positive", k, res.Certificate)
 			}
-			if res.OptimalityRatio < 1 {
-				t.Errorf("k=%d: optimality ratio %v < 1", k, res.OptimalityRatio)
+			if res.CostOptimalityRatio < 1 {
+				t.Errorf("k=%d: optimality ratio %v < 1", k, res.CostOptimalityRatio)
 			}
-		} else if res.OptimalityRatio != 0 {
-			t.Errorf("k=0: optimality ratio %v, want 0", res.OptimalityRatio)
+		} else if res.CostOptimalityRatio != 0 {
+			t.Errorf("k=0: optimality ratio %v, want 0", res.CostOptimalityRatio)
 		}
 	}
 }
@@ -117,8 +117,8 @@ func TestFilteredQueryAccessCountsInvariants(t *testing.T) {
 		if res.Access.Total > res.FullScan.Total {
 			t.Errorf("k=%d: accesses %d exceed full-scan cost %d", k, res.Access.Total, res.FullScan.Total)
 		}
-		if k > 0 && res.OptimalityRatio < 1 {
-			t.Errorf("k=%d: optimality ratio %v < 1 (certificate %d)", k, res.OptimalityRatio, res.Certificate)
+		if k > 0 && res.CostOptimalityRatio < 1 {
+			t.Errorf("k=%d: optimality ratio %v < 1 (certificate %d)", k, res.CostOptimalityRatio, res.Certificate)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ranking"
+	"repro/internal/topk"
 )
 
 // restaurantTable builds the paper's Section 1 example: a restaurant catalog
@@ -357,7 +358,7 @@ func TestQueryAlgoDispatch(t *testing.T) {
 	}
 	wantSet := append([]string(nil), base.Keys...)
 	sort.Strings(wantSet)
-	for _, algo := range []string{AlgoMedRank, AlgoTA, AlgoNRA, AlgoCA} {
+	for _, algo := range []string{topk.AlgoMedRank, topk.AlgoTA, topk.AlgoNRA, topk.AlgoCA} {
 		res, err := tbl.TopK(Query{Preferences: prefs, K: 3, Algo: algo})
 		if err != nil {
 			t.Fatalf("algo %q: %v", algo, err)
@@ -368,7 +369,7 @@ func TestQueryAlgoDispatch(t *testing.T) {
 			t.Fatalf("algo %q: keys %v, want %v", algo, got, wantSet)
 		}
 		switch algo {
-		case AlgoMedRank, AlgoNRA:
+		case topk.AlgoMedRank, topk.AlgoNRA:
 			if res.Access.Random != 0 {
 				t.Fatalf("algo %q made %d random accesses", algo, res.Access.Random)
 			}
@@ -378,11 +379,11 @@ func TestQueryAlgoDispatch(t *testing.T) {
 			if res.MiddlewareCost != res.Access.Total {
 				t.Fatalf("algo %q: middleware cost %d != sequential total %d", algo, res.MiddlewareCost, res.Access.Total)
 			}
-		case AlgoTA, AlgoCA:
-			if res.CostRatio != DefaultCostRatio {
-				t.Fatalf("algo %q defaulted to cost ratio %d, want %d", algo, res.CostRatio, DefaultCostRatio)
+		case topk.AlgoTA, topk.AlgoCA:
+			if res.CostRatio != topk.DefaultCostRatio {
+				t.Fatalf("algo %q defaulted to cost ratio %d, want %d", algo, res.CostRatio, topk.DefaultCostRatio)
 			}
-			want := res.Access.Total + DefaultCostRatio*res.Access.Random
+			want := res.Access.Total + topk.DefaultCostRatio*res.Access.Random
 			if res.MiddlewareCost != want {
 				t.Fatalf("algo %q: middleware cost %d, want %d", algo, res.MiddlewareCost, want)
 			}
@@ -392,7 +393,7 @@ func TestQueryAlgoDispatch(t *testing.T) {
 		}
 	}
 	// Explicit ratio overrides the default and is echoed back.
-	res, err := tbl.TopK(Query{Preferences: prefs, K: 3, Algo: AlgoCA, CostRatio: 25})
+	res, err := tbl.TopK(Query{Preferences: prefs, K: 3, Algo: topk.AlgoCA, CostRatio: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestQueryAlgoDispatch(t *testing.T) {
 		t.Fatal("unknown algo accepted")
 	}
 	// The resilient path dispatches the same engines.
-	for _, algo := range []string{AlgoNRA, AlgoCA} {
+	for _, algo := range []string{topk.AlgoNRA, topk.AlgoCA} {
 		res, err := tbl.TopKResilient(context.Background(), Query{Preferences: prefs, K: 3, Algo: algo}, nil)
 		if err != nil {
 			t.Fatalf("resilient %q: %v", algo, err)
@@ -413,7 +414,7 @@ func TestQueryAlgoDispatch(t *testing.T) {
 		if !reflect.DeepEqual(got, wantSet) {
 			t.Fatalf("resilient %q: keys %v, want %v", algo, got, wantSet)
 		}
-		if algo == AlgoNRA && res.Access.Random != 0 {
+		if algo == topk.AlgoNRA && res.Access.Random != 0 {
 			t.Fatalf("resilient NRA made %d random accesses", res.Access.Random)
 		}
 	}

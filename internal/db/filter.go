@@ -199,16 +199,12 @@ func (t *Table) TopKWhereContext(ctx context.Context, q FilteredQuery) (*QueryRe
 		}
 		rankings = append(rankings, pr)
 	}
-	res, err := runMedRank(ctx, rankings, q.K)
+	spec := topk.Spec{K: q.K, Policy: topk.RoundRobin}
+	res, err := runQuery(ctx, spec, rankings, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &QueryResult{
-		Access:      res.Stats,
-		FullScan:    fullScan(rankings),
-		Certificate: topk.CertificateLowerBound(rankings, res.Winners),
-	}
-	out.OptimalityRatio = res.Stats.OptimalityRatio(out.Certificate)
+	out := newQueryResult(spec, rankings, res)
 	for i, w := range res.Winners {
 		out.Keys = append(out.Keys, t.rowKeys[subset[w]])
 		out.MedianPositions = append(out.MedianPositions, float64(res.Medians2[i])/2)

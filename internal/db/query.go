@@ -19,19 +19,6 @@ var (
 	tIndexScans       = telemetry.GetCounter("db.index_scans")
 )
 
-// Engine names accepted by Query.Algo.
-const (
-	AlgoMedRank = "medrank"
-	AlgoTA      = "ta"
-	AlgoNRA     = "nra"
-	AlgoCA      = "ca"
-)
-
-// DefaultCostRatio is the random:sequential cost ratio assumed when a "ca"
-// query does not set one: random access an order of magnitude more expensive
-// than the next entry of an open scan, the classic middleware regime.
-const DefaultCostRatio = 10
-
 // Query is a multi-criteria preference query: aggregate the index scans of
 // all preferences and return the best K records, optionally skipping the
 // first Offset records (pagination).
@@ -40,32 +27,23 @@ type Query struct {
 	K           int
 	// Offset skips the best Offset records before returning K winners.
 	Offset int
-	// Algo selects the aggregation engine: "" or "medrank" (sorted access
-	// only, certifies exact medians), "ta" (random-access heavy), "nra"
-	// (sorted access only with interval certification — never issues a
-	// random access), or "ca" (interval accumulation with random accesses
-	// scheduled every ~CostRatio sorted rounds).
+	// Algo selects the aggregation engine (topk.Spec.Algo): "" or "medrank"
+	// (sorted access only, certifies exact medians), "ta" (random-access
+	// heavy), "nra" (sorted access only with interval certification — never
+	// issues a random access), or "ca" (interval accumulation with random
+	// accesses scheduled every ~CostRatio sorted rounds).
 	Algo string
 	// CostRatio is the random:sequential access cost ratio cR/cS. It drives
 	// the "ca" engine's random-access schedule and the cost-weighted
-	// optimality reporting for every engine. <= 0 selects a per-engine
-	// default: DefaultCostRatio for "ca" and "ta" (their random accesses
-	// have a price), 0 — the NRA regime, random access unpriced because
-	// unused — for "medrank" and "nra".
+	// optimality reporting for every engine. <= 0 selects the per-engine
+	// default of topk.EffectiveCostRatio.
 	CostRatio int
 }
 
-// effectiveCostRatio resolves Query.CostRatio against the per-engine
-// defaults.
-func (q Query) effectiveCostRatio() int {
-	if q.CostRatio > 0 {
-		return q.CostRatio
-	}
-	switch q.Algo {
-	case AlgoCA, AlgoTA:
-		return DefaultCostRatio
-	}
-	return 0
+// spec is the engine run that answers the query's best k records, MEDRANK
+// probing its index scans round-robin.
+func (q Query) spec(k int) topk.Spec {
+	return topk.Spec{Algo: q.Algo, K: k, Policy: topk.RoundRobin, CostRatio: topk.EffectiveCostRatio(q.Algo, q.CostRatio)}
 }
 
 // QueryResult is the answer to a top-k preference query.
@@ -86,11 +64,6 @@ type QueryResult struct {
 	// degraded run it is computed over the surviving index scans — the
 	// instance that was actually solved.
 	Certificate int
-	// OptimalityRatio is Access accesses (sequential plus random, equal
-	// weights) divided by Certificate. Kept for comparability with
-	// historical numbers; CostOptimalityRatio is the cost-model-consistent
-	// figure.
-	OptimalityRatio float64
 	// CostRatio is the random:sequential cost ratio the cost-weighted
 	// figures below were computed at (Query.CostRatio resolved against the
 	// per-engine defaults).
@@ -111,45 +84,11 @@ type QueryResult struct {
 	Degraded *topk.Degraded
 }
 
-// runMedRank and fullScan are shared by TopK and TopKWhere.
-func runMedRank(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*topk.Result, error) {
-	return topk.MedRankContext(ctx, rankings, k, topk.RoundRobin)
-}
-
-// runEngine dispatches the query's engine over in-memory rankings.
-func runEngine(ctx context.Context, q Query, rankings []*ranking.PartialRanking, k int) (*topk.Result, error) {
-	switch q.Algo {
-	case "", AlgoMedRank:
-		return runMedRank(ctx, rankings, k)
-	case AlgoTA:
-		return topk.ThresholdTopKContext(ctx, rankings, k)
-	case AlgoNRA:
-		return topk.NRAContext(ctx, rankings, k)
-	case AlgoCA:
-		return topk.CAContext(ctx, rankings, k, q.effectiveCostRatio())
-	default:
-		return nil, fmt.Errorf("db: unknown algo %q (want medrank, ta, nra, or ca)", q.Algo)
-	}
-}
-
-// runEngineOver dispatches the query's engine over fallible sources.
-func runEngineOver(ctx context.Context, q Query, srcs []faults.Source, k int, acc *telemetry.AccessAccountant) (*topk.Result, error) {
-	switch q.Algo {
-	case "", AlgoMedRank:
-		return topk.MedRankOver(ctx, srcs, k, topk.RoundRobin, acc)
-	case AlgoTA:
-		return topk.ThresholdTopKOver(ctx, srcs, k, acc)
-	case AlgoNRA:
-		return topk.NRAOver(ctx, srcs, k, acc)
-	case AlgoCA:
-		return topk.CAOver(ctx, srcs, k, q.effectiveCostRatio(), acc)
-	default:
-		return nil, fmt.Errorf("db: unknown algo %q (want medrank, ta, nra, or ca)", q.Algo)
-	}
-}
-
-func fullScan(rankings []*ranking.PartialRanking) topk.AccessStats {
-	return topk.FullScanCost(rankings)
+// runQuery runs spec over the index scans, each scan's source passed through
+// wrap when it is non-nil.
+func runQuery(ctx context.Context, spec topk.Spec, rankings []*ranking.PartialRanking, wrap faults.Wrapper) (*topk.Result, error) {
+	acc := telemetry.NewAccessAccountant(len(rankings))
+	return topk.Run(ctx, spec, topk.ListSources(rankings, acc, wrap), acc)
 }
 
 // TopK answers a preference query with the streaming MEDRANK engine,
@@ -164,30 +103,25 @@ func (t *Table) TopKContext(ctx context.Context, q Query) (*QueryResult, error) 
 	ctx, sp := telemetry.Start(ctx, "db.topk")
 	defer sp.End()
 	tQueries.Inc()
-	if q.Offset < 0 {
-		return nil, fmt.Errorf("db: negative offset %d", q.Offset)
-	}
-	rankings, err := t.scanAll(q.Preferences)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runEngine(ctx, q, rankings, q.K+q.Offset)
-	if err != nil {
-		return nil, err
-	}
-	return t.buildResult(q, rankings, res), nil
+	return t.topK(ctx, q, nil)
 }
 
 // TopKResilient answers a preference query over fallible index scans: wrap
 // decorates each scan's source (typically with faults.Inject and
 // faults.WithRetry; nil runs the infallible pipeline through the fallible
 // engine). If scans die mid-query the answer degrades to the survivors and
-// QueryResult.Degraded reports the loss; see topk.MedRankOver.
+// QueryResult.Degraded reports the loss; see topk.Run.
 func (t *Table) TopKResilient(ctx context.Context, q Query, wrap faults.Wrapper) (*QueryResult, error) {
 	ctx, sp := telemetry.Start(ctx, "db.topk_resilient")
 	defer sp.End()
 	tQueries.Inc()
 	tResilientQueries.Inc()
+	return t.topK(ctx, q, wrap)
+}
+
+// topK runs the query's engine over the index scans, each scan's source
+// passed through wrap when it is non-nil.
+func (t *Table) topK(ctx context.Context, q Query, wrap faults.Wrapper) (*QueryResult, error) {
 	if q.Offset < 0 {
 		return nil, fmt.Errorf("db: negative offset %d", q.Offset)
 	}
@@ -195,16 +129,8 @@ func (t *Table) TopKResilient(ctx context.Context, q Query, wrap faults.Wrapper)
 	if err != nil {
 		return nil, err
 	}
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	srcs := make([]faults.Source, len(rankings))
-	for i, r := range rankings {
-		s := topk.NewListSource(r, acc, i)
-		if wrap != nil {
-			s = wrap(i, s)
-		}
-		srcs[i] = s
-	}
-	res, err := runEngineOver(ctx, q, srcs, q.K+q.Offset, acc)
+	spec := q.spec(q.K + q.Offset)
+	res, err := runQuery(ctx, spec, rankings, wrap)
 	if err != nil {
 		return nil, err
 	}
@@ -223,23 +149,7 @@ func (t *Table) TopKResilient(ctx context.Context, q Query, wrap faults.Wrapper)
 		}
 		rankings = survivors
 	}
-	return t.buildResult(q, rankings, res), nil
-}
-
-// buildResult assembles a QueryResult from a top-k engine run over the given
-// (possibly surviving-only) rankings.
-func (t *Table) buildResult(q Query, rankings []*ranking.PartialRanking, res *topk.Result) *QueryResult {
-	out := &QueryResult{
-		Access:      res.Stats,
-		FullScan:    fullScan(rankings),
-		Certificate: topk.CertificateLowerBound(rankings, res.Winners),
-		Degraded:    res.Degraded,
-		CostRatio:   q.effectiveCostRatio(),
-	}
-	out.OptimalityRatio = res.Stats.OptimalityRatio(out.Certificate)
-	out.MiddlewareCost = res.Stats.MiddlewareCost(1, out.CostRatio)
-	out.CostCertificate = topk.CertificateLowerBoundCost(rankings, res.Winners, 1, out.CostRatio)
-	out.CostOptimalityRatio = res.Stats.CostOptimalityRatio(1, out.CostRatio, out.CostCertificate)
+	out := newQueryResult(spec, rankings, res)
 	for i, w := range res.Winners {
 		if i < q.Offset {
 			continue
@@ -247,6 +157,23 @@ func (t *Table) buildResult(q Query, rankings []*ranking.PartialRanking, res *to
 		out.Keys = append(out.Keys, t.rowKeys[w])
 		out.MedianPositions = append(out.MedianPositions, float64(res.Medians2[i])/2)
 	}
+	return out, nil
+}
+
+// newQueryResult assembles the access figures of a run of spec over the
+// given index scans (the surviving ones on a degraded run: the instance that
+// was actually solved).
+func newQueryResult(spec topk.Spec, rankings []*ranking.PartialRanking, res *topk.Result) *QueryResult {
+	out := &QueryResult{
+		Access:          res.Stats,
+		FullScan:        topk.FullScanCost(rankings),
+		Certificate:     topk.CertificateLowerBound(rankings, res.Winners),
+		Degraded:        res.Degraded,
+		CostRatio:       spec.CostRatio,
+		MiddlewareCost:  res.Stats.MiddlewareCost(1, spec.CostRatio),
+		CostCertificate: topk.CertificateLowerBoundCost(rankings, res.Winners, 1, spec.CostRatio),
+	}
+	out.CostOptimalityRatio = res.Stats.CostOptimalityRatio(1, out.CostRatio, out.CostCertificate)
 	return out
 }
 

@@ -50,7 +50,7 @@ func E15Chaos(seed int64) (*Table, error) {
 	instances := make([]instance, trials)
 	for i := range instances {
 		in := randrank.CatalogEnsemble(rng, n, m, 10, 1.0, 0.4).Rankings
-		base, err := topk.MedRank(in, k, topk.RoundRobin)
+		base, err := runTopK(in, topk.Spec{K: k, Policy: topk.RoundRobin})
 		if err != nil {
 			return nil, err
 		}
@@ -63,16 +63,14 @@ func E15Chaos(seed int64) (*Table, error) {
 		for trial, inst := range instances {
 			acc := telemetry.NewAccessAccountant(m)
 			sl := &faults.FakeSleeper{}
-			srcs := make([]faults.Source, m)
-			for i, r := range inst.in {
-				s := topk.NewListSource(r, acc, i)
+			srcs := topk.ListSources(inst.in, acc, func(i int, s faults.Source) faults.Source {
 				s = faults.Inject(s, faults.Plan{
 					Seed:          seed + int64(trial)*100 + int64(i),
 					TransientRate: 0.002,
 					DeathRate:     rate,
 					Sleeper:       sl,
 				})
-				srcs[i] = faults.WithRetry(s, faults.RetryPolicy{
+				return faults.WithRetry(s, faults.RetryPolicy{
 					MaxAttempts: 4,
 					BaseDelay:   time.Millisecond,
 					MaxDelay:    100 * time.Millisecond,
@@ -80,8 +78,8 @@ func E15Chaos(seed int64) (*Table, error) {
 					JitterSeed:  seed + int64(trial),
 					Sleeper:     sl,
 				}, acc, i)
-			}
-			res, err := topk.MedRankOver(context.Background(), srcs, k, topk.RoundRobin, acc)
+			})
+			res, err := topk.Run(context.Background(), topk.Spec{K: k, Policy: topk.RoundRobin}, srcs, acc)
 			if err != nil {
 				// Every list died before the answer was certified; there is
 				// no degraded answer to measure. Reported separately so the

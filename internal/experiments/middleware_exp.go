@@ -30,46 +30,26 @@ func e17Instance(rng *rand.Rand, n, m int) []*ranking.PartialRanking {
 // e17Run executes one engine over one instance, infallible or (when a fault
 // plan is given) over injected sources, and returns the result. CA is
 // scheduled at the sweep's cost ratio; at ratio 0 that degenerates to NRA,
-// which is exactly the regime the row documents.
+// which is exactly the regime the row documents. MEDRANK probes by global
+// merge on clean runs and round-robin on fault runs.
 func e17Run(engine string, in []*ranking.PartialRanking, k, ratio int, plan *faults.Plan, planSeed int64) (*topk.Result, error) {
-	ctx := context.Background()
+	spec := topk.Spec{Algo: engine, K: k, Policy: topk.GlobalMerge, CostRatio: ratio}
 	if plan == nil {
-		switch engine {
-		case "medrank":
-			return topk.MedRankContext(ctx, in, k, topk.GlobalMerge)
-		case "ta":
-			return topk.ThresholdTopKContext(ctx, in, k)
-		case "nra":
-			return topk.NRAContext(ctx, in, k)
-		default:
-			return topk.CAContext(ctx, in, k, ratio)
-		}
+		return runTopK(in, spec)
 	}
-	m := len(in)
-	acc := telemetry.NewAccessAccountant(m)
+	spec.Policy = topk.RoundRobin
+	acc := telemetry.NewAccessAccountant(len(in))
 	sl := &faults.FakeSleeper{}
-	srcs := make([]faults.Source, m)
-	for i, r := range in {
-		s := topk.NewListSource(r, acc, i)
+	srcs := topk.ListSources(in, acc, func(i int, s faults.Source) faults.Source {
 		p := *plan
 		p.Seed = planSeed + int64(i)
 		p.Sleeper = sl
-		s = faults.Inject(s, p)
 		pol := faults.DefaultRetryPolicy()
 		pol.JitterSeed = planSeed
 		pol.Sleeper = sl
-		srcs[i] = faults.WithRetry(s, pol, acc, i)
-	}
-	switch engine {
-	case "medrank":
-		return topk.MedRankOver(ctx, srcs, k, topk.RoundRobin, acc)
-	case "ta":
-		return topk.ThresholdTopKOver(ctx, srcs, k, acc)
-	case "nra":
-		return topk.NRAOver(ctx, srcs, k, acc)
-	default:
-		return topk.CAOver(ctx, srcs, k, ratio, acc)
-	}
+		return faults.WithRetry(faults.Inject(s, p), pol, acc, i)
+	})
+	return topk.Run(context.Background(), spec, srcs, acc)
 }
 
 // E17MiddlewareCost prices the four top-k engines under the FLN middleware

@@ -3,8 +3,6 @@ package experiments
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/topk"
 )
 
 // TestE17DesignRatioCACheapest pins the E17 headline claim at the design
@@ -17,15 +15,15 @@ func TestE17DesignRatioCACheapest(t *testing.T) {
 	rng := rand.New(rand.NewSource(2004))
 	for trial := 0; trial < 4; trial++ {
 		in := e17Instance(rng, n, m)
-		ta, err := topk.ThresholdTopK(in, k)
+		ta, err := e17Run("ta", in, k, ratio, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nra, err := topk.NRA(in, k)
+		nra, err := e17Run("nra", in, k, ratio, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, err := topk.CA(in, k, ratio)
+		ca, err := e17Run("ca", in, k, ratio, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

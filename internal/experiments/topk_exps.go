@@ -1,18 +1,26 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 	"repro/internal/topk"
 )
+
+// runTopK runs spec over in-memory rankings.
+func runTopK(in []*ranking.PartialRanking, spec topk.Spec) (*topk.Result, error) {
+	acc := telemetry.NewAccessAccountant(len(in))
+	return topk.Run(context.Background(), spec, topk.ListSources(in, acc, nil), acc)
+}
 
 // medrankAccess runs MEDRANK for the top k and formats its total access
 // cost as a fraction of the full scan.
 func medrankAccess(in []*ranking.PartialRanking, k int) (string, error) {
-	res, err := topk.MedRank(in, k, topk.RoundRobin)
+	res, err := runTopK(in, topk.Spec{K: k, Policy: topk.RoundRobin})
 	if err != nil {
 		return "", err
 	}
@@ -63,18 +71,18 @@ func E7InstanceOptimality(seed int64) (*Table, error) {
 		for _, n := range []int{1000, 10000} {
 			for _, k := range []int{1, 10} {
 				in := w.gen(n)
-				merge, err := topk.MedRank(in, k, topk.GlobalMerge)
+				merge, err := runTopK(in, topk.Spec{K: k, Policy: topk.GlobalMerge})
 				if err != nil {
 					return nil, err
 				}
-				rr, err := topk.MedRank(in, k, topk.RoundRobin)
+				rr, err := runTopK(in, topk.Spec{K: k, Policy: topk.RoundRobin})
 				if err != nil {
 					return nil, err
 				}
 				if !merge.TopK.Equal(rr.TopK) {
 					return nil, fmt.Errorf("E7: policies disagree on %s n=%d k=%d", w.name, n, k)
 				}
-				bucket, err := topk.MedRank(in, k, topk.GlobalMergeBuckets)
+				bucket, err := runTopK(in, topk.Spec{K: k, Policy: topk.GlobalMergeBuckets})
 				if err != nil {
 					return nil, err
 				}

@@ -8,13 +8,14 @@ import (
 )
 
 // The topk degradation ladder: under deadline pressure the service walks
-// down exact TA → θ-approximate ThresholdTopK → cached stale answer, trading
+// down the exact engine → θ-approximate TA → cached stale answer, trading
 // answer quality for the certainty of answering inside the budget. Each
 // level is strictly cheaper than the one above:
 //
-//   - exact: the requested engine (medrank or ta), full answer.
-//   - approx: ThresholdTopKApprox with the configured θ — the FLN (1+θ)
-//     early-stop variant, whose certificate ships in the response.
+//   - exact: the requested engine, full answer.
+//   - approx: TA with the configured θ — the FLN (1+θ) early-stop variant,
+//     whose certificate ships in the response. The run is priced and
+//     counted as TA whatever engine was requested.
 //   - stale: the last successful answer for the same (tenant, catalog,
 //     algo, k), age-stamped, computed work zero.
 //
@@ -69,14 +70,13 @@ func chooseLevel(remaining time.Duration, estNs float64, hasDeadline bool) strin
 	}
 }
 
-// staleKey identifies one cacheable topk answer. Theta is part of the key so
-// explicit-θ answers never masquerade as exact ones; the effective cost ratio
-// is too, because a CA answer's access summary (and its certified medians on
-// degraded runs) depends on how often random access was scheduled.
+// staleKey identifies one cacheable topk answer by the request that asked
+// for it. Only exact answers are stored. The effective cost ratio is part of
+// the key because a CA answer's access summary depends on how often random
+// access was scheduled.
 type staleKey struct {
 	tenant, catalog, algo string
 	k                     int
-	theta                 float64
 	ratio                 int
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/topk"
 )
 
 // doReqHeaders is doReq with extra request headers, returning the response
@@ -279,6 +281,53 @@ func TestLadderExplicitTheta(t *testing.T) {
 	} {
 		if status, b, _ := doReqHeaders(t, http.MethodPost, url, bad, nil); status != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400: %s", bad, status, b)
+		}
+	}
+}
+
+// TestLadderApproxPricedAsTA pins the approx rung's accounting: an explicit
+// theta answers a medrank or ca request with θ-approximate TA, so the
+// response is priced at TA's cost ratio (the request's, else the default)
+// and counted under algo="ta" in both per-engine counter families, exactly
+// like the same run requested as "ta".
+func TestLadderApproxPricedAsTA(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	putCatalog(t, ts, "acme", "movies", deepCorpus, "")
+	url := ts.URL + "/v1/tenants/acme/catalogs/movies/topk"
+	query := func(body string) TopKResponse {
+		t.Helper()
+		status, b, _ := doReqHeaders(t, http.MethodPost, url, body, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d: %s", body, status, b)
+		}
+		return decode[TopKResponse](t, b)
+	}
+	ta := query(`{"k": 3, "algo": "ta", "theta": 0.5}`)
+	if ta.Access.CostRatio != topk.DefaultCostRatio || ta.Access.Random == 0 {
+		t.Fatalf("ta access = %+v, want random accesses priced at %d", ta.Access, topk.DefaultCostRatio)
+	}
+	for _, algo := range []string{"medrank", "ca"} {
+		if got := query(fmt.Sprintf(`{"k": 3, "algo": %q, "theta": 0.5}`, algo)); got.Access != ta.Access {
+			t.Errorf("%s with theta: access %+v, want TA's %+v", algo, got.Access, ta.Access)
+		}
+	}
+	got := query(`{"k": 3, "algo": "medrank", "theta": 0.5, "cost_ratio": 25}`)
+	if want := ta.Access.Sequential + 25*ta.Access.Random; got.Access.CostRatio != 25 || got.Access.MiddlewareCost != want {
+		t.Errorf("explicit cost_ratio 25: access %+v, want middleware cost %d", got.Access, want)
+	}
+
+	status, b := doReq(t, http.MethodGet, ts.URL+"/metrics", "")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics = %d", status)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		for _, family := range []string{"rankserve_topk_algo_total", "rankserve_middleware_cost_total"} {
+			if strings.HasPrefix(line, family+"{") && !strings.Contains(line, `algo="ta"`) {
+				t.Errorf("approx runs counted under another engine: %s", line)
+			}
+		}
+		if strings.HasPrefix(line, `rankserve_topk_algo_total{tenant="acme",algo="ta"} `) && !strings.HasSuffix(line, " 4") {
+			t.Errorf("%s, want 4 TA runs", line)
 		}
 	}
 }

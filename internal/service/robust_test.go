@@ -116,7 +116,7 @@ func TestTopKTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := append(append([]*ranking.PartialRanking{}, rankings[:3]...), rankings[4])
-	want, err := topk.MedRank(kept, 3, topk.GlobalMerge)
+	want, err := topk.MedRankContext(context.Background(), kept, 3, topk.GlobalMerge)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -237,7 +238,7 @@ func TestTopKMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := topk.MedRank(rankings, 2, topk.GlobalMerge)
+	want, err := topk.MedRankContext(context.Background(), rankings, 2, topk.GlobalMerge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +368,10 @@ func TestTopKAlgoNRAAndCA(t *testing.T) {
 	if fmt.Sprint(ca.Winners) != fmt.Sprint(base.Winners) {
 		t.Errorf("ca winners %v != medrank winners %v", ca.Winners, base.Winners)
 	}
-	if ca.Access.CostRatio != defaultCostRatio {
-		t.Errorf("ca default cost ratio = %d, want %d", ca.Access.CostRatio, defaultCostRatio)
+	if ca.Access.CostRatio != topk.DefaultCostRatio {
+		t.Errorf("ca default cost ratio = %d, want %d", ca.Access.CostRatio, topk.DefaultCostRatio)
 	}
-	if want := ca.Access.Sequential + defaultCostRatio*ca.Access.Random; ca.Access.MiddlewareCost != want {
+	if want := ca.Access.Sequential + topk.DefaultCostRatio*ca.Access.Random; ca.Access.MiddlewareCost != want {
 		t.Errorf("ca middleware cost = %d, want %d", ca.Access.MiddlewareCost, want)
 	}
 	if got := query(`{"k": 4, "algo": "ca", "cost_ratio": 25}`); got.Access.CostRatio != 25 {

@@ -121,22 +121,6 @@ func (r AccessReport) MiddlewareCost(cs, cr int64) int64 {
 	return cs*r.Sequential + cr*r.Random
 }
 
-// OptimalityRatio divides the report's total access count (sequential plus
-// random) by a per-instance lower bound on the accesses any correct
-// algorithm must make.
-//
-// Deprecated: this equal-weights ratio prices a random access the same as a
-// sequential probe, contradicting the cost model MiddlewareCost encodes. It
-// is kept for comparability with historical numbers; new code should use
-// CostOptimalityRatio against a bound computed at the same (cs, cr) weights
-// (topk.CertificateLowerBoundCost).
-func (r AccessReport) OptimalityRatio(lowerBound int64) float64 {
-	if lowerBound <= 0 {
-		return 0
-	}
-	return float64(r.Sequential+r.Random) / float64(lowerBound)
-}
-
 // CostOptimalityRatio divides the report's middleware cost at weights
 // (cs, cr) by a cost-aware per-instance lower bound computed at the same
 // weights; a ratio near 1 witnesses instance optimality under that cost

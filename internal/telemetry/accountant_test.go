@@ -77,10 +77,10 @@ func TestMiddlewareCostAndOptimality(t *testing.T) {
 	if got := r.MiddlewareCost(1, 3); got != 10+15 {
 		t.Errorf("cost = %d, want 25", got)
 	}
-	if got := r.OptimalityRatio(5); math.Abs(got-3) > 1e-12 {
+	if got := r.CostOptimalityRatio(1, 1, 5); math.Abs(got-3) > 1e-12 {
 		t.Errorf("ratio = %v, want 3", got)
 	}
-	if got := r.OptimalityRatio(0); got != 0 {
+	if got := r.CostOptimalityRatio(1, 1, 0); got != 0 {
 		t.Errorf("ratio with zero bound = %v, want 0", got)
 	}
 }

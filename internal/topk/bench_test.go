@@ -1,12 +1,14 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // The instance-optimality story in numbers: probes on correlated inputs
@@ -22,7 +24,7 @@ func BenchmarkMedRankPolicies(b *testing.B) {
 			b.Run(fmt.Sprintf("theta=%.0f/%s", theta, pol.name), func(b *testing.B) {
 				var total int
 				for i := 0; i < b.N; i++ {
-					res, err := MedRank(in, 10, pol.p)
+					res, err := runSpec(in, Spec{K: 10, Policy: pol.p}, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -34,14 +36,15 @@ func BenchmarkMedRankPolicies(b *testing.B) {
 	}
 }
 
-func BenchmarkCursorScan(b *testing.B) {
+func BenchmarkListSourceScan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pr := randrank.Partial(rng, 100000, 50)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCursor(pr)
+		src := NewListSource(pr, telemetry.NewAccessAccountant(1), 0)
 		for {
-			if _, ok := c.Next(); !ok {
+			if _, ok, _ := src.Next(ctx); !ok {
 				break
 			}
 		}
@@ -54,7 +57,7 @@ func BenchmarkMedRankFewValuedCatalog(b *testing.B) {
 	var in []*ranking.PartialRanking = ens.Rankings
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MedRank(in, 10, RoundRobin); err != nil {
+		if _, err := runSpec(in, Spec{K: 10, Policy: RoundRobin}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

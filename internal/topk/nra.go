@@ -3,13 +3,8 @@ package topk
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/faults"
-	"repro/internal/ranking"
-	"repro/internal/telemetry"
 )
 
 // This file implements the remaining two corners of the Fagin–Lotem–Naor
@@ -28,10 +23,8 @@ import (
 //     ~cR/cS sorted rounds, so expensive random accesses are paid only when
 //     they amortize against the sorted work they save.
 //
-// Both engines share one certification core (nraCore) and one fallible driver
-// (nraFallibleRun, nra_fallible.go); the infallible entry points below are
-// thin wrappers that run the fallible driver over infallible list sources, so
-// there is exactly one code path to trust.
+// Both engines share one certification core (nraCore) and one driver
+// (caDriver): NRA is CA at cost ratio 0.
 
 // nraInf is the sentinel for an unknown worst-case bound: strictly larger
 // than any real doubled position and than the bottom-of-order sentinel
@@ -75,8 +68,8 @@ func (h *pairMaxHeap) Pop() interface{} {
 
 // nraCore is the interval-certification state shared by NRA and CA. Like
 // medrankRun it is access-agnostic: it sees lists only through frontier
-// positions and per-slot known bitmaps, so the fallible driver can rebuild a
-// fresh core over the survivors after a list death and replay the logs.
+// positions and per-slot known bitmaps, so the driver can rebuild a fresh
+// core over the survivors after a list death and replay the logs.
 //
 // Monotonicity makes bounded buffers sound: a candidate's worst-case bound
 // only shrinks as positions arrive, its best-case bound only grows (frontiers
@@ -121,7 +114,7 @@ func (c *nraCore) knownIn(li, e int) bool {
 // add registers element e's doubled position in slot li, whether it arrived
 // by sorted or by random access — once known, a position is a position, which
 // is what lets CA feed its random-access lookups into the same state (and the
-// fallible driver replay both kinds of log after a list death). Duplicates
+// driver replay both kinds of log after a list death). Duplicates
 // are ignored: a sorted scan re-revealing a random-accessed entry changes
 // nothing.
 func (c *nraCore) add(li, e int, pos2 int64) {
@@ -177,7 +170,7 @@ func (c *nraCore) best2(e int) int64 {
 }
 
 // clear drops e from the race for good and frees its position buffer. Sound
-// by monotonicity (see the type comment); the fallible driver's logs retain
+// by monotonicity (see the type comment); the driver's logs retain
 // the raw entries for replay after a list death, when the instance — and
 // hence every clearance — is recomputed from scratch.
 func (c *nraCore) clear(e int) {
@@ -278,13 +271,13 @@ func (c *nraCore) check() (done bool, blocker int) {
 // finalTopK extracts the answer: the k lexicographically smallest
 // (median-bound, id) pairs over every non-cleared element. At a certified
 // stop this is exactly the dominating set (everything else was cleared); at
-// exhaustion or truncation it matches MedRankOver's degraded convention —
+// exhaustion or truncation it matches MEDRANK's degraded convention —
 // elements observed in at least `needed` lists carry their exact survivor
 // median, under-observed elements carry the bottom-of-order sentinel and fill
 // the list by ID.
 func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]int64) {
 	type cand struct {
-		e          int
+		e         int
 		med2, lo2 int64
 	}
 	cands := make([]cand, 0, len(c.live)+c.n-c.probedDistinct)
@@ -327,52 +320,185 @@ func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]i
 	return winners, medians2, intervals
 }
 
-// NRA runs the no-random-access engine of Fagin, Lotem, and Naor over the
-// inputs: median-rank top-k from sorted access only, certified by interval
-// domination. The winner SET equals MedRank's and ThresholdTopK's exactly
-// (including ID tie-breaks); individual winners may carry open median
-// intervals, reported in Result.Intervals2 with Medians2 holding the
-// certified upper bounds. AccessStats.Random is always 0.
-func NRA(rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	return NRAContext(context.Background(), rankings, k)
+// caDriver runs the interval-certification core (nraCore) over the sources,
+// for both NRA (ratio 0: sorted access only) and CA (ratio > 0: a
+// random-access resolution every ~ratio sorted rounds). It keeps
+// per-original-list logs of every consumed entry — sequential AND random,
+// since CA's random lookups are real knowledge a rebuilt core must not lose —
+// and rebuilds a fresh core over the survivors when a list dies. Rebuilding
+// from scratch also re-derives every buffer clearance: a clearance proved
+// against the old instance (all m lists) need not hold against the survivor
+// instance, so none of them are carried over.
+type caDriver struct {
+	lists
+	n, k  int
+	ratio int // sorted rounds between random-access resolutions; 0 = never (NRA)
+
+	seqLogs  [][]Entry // per original list: every entry consumed sequentially
+	randLogs [][]Entry // per original list: every position fetched by random access
+
+	core       *nraCore
+	rrNext     int
+	sinceRA    int // sorted rounds since the last random-access resolution
+	bufferPeak int // max over rebuilds of the core's candidate-buffer peak
 }
 
-// NRAContext is NRA under a caller context; cancellation or deadline expiry
-// aborts the run between accesses with ctx.Err().
-func NRAContext(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	return caRankings(ctx, rankings, k, 0)
-}
-
-// CA runs the combined algorithm of Fagin, Lotem, and Naor at the given
-// random:sequential cost ratio: NRA-style interval accumulation with a
-// random-access resolution of the most blocking candidate scheduled once
-// every ~ratio sorted rounds, so the extra cR spend stays proportional to the
-// cS spend it replaces. ratio 0 is the NRA regime (random access unavailable;
-// the run makes none); ratio 1 resolves every round, approaching TA's
-// behavior at TA's prices. The winner set equals the exact engines'.
-func CA(rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
-	return CAContext(context.Background(), rankings, k, ratio)
-}
-
-// CAContext is CA under a caller context.
-func CAContext(ctx context.Context, rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
-	return caRankings(ctx, rankings, k, ratio)
-}
-
-// caRankings adapts in-memory rankings onto the shared fallible driver: the
-// infallible engines are the fallible ones over infallible sources, so the
-// certified-stop logic has exactly one implementation.
-func caRankings(ctx context.Context, rankings []*ranking.PartialRanking, k, ratio int) (*Result, error) {
-	if len(rankings) == 0 {
-		return nil, fmt.Errorf("topk: no input rankings")
+func newCADriver(l lists, n, k, ratio int) *caDriver {
+	m := len(l.sources)
+	f := &caDriver{
+		lists:    l,
+		n:        n,
+		k:        k,
+		ratio:    ratio,
+		seqLogs:  make([][]Entry, m),
+		randLogs: make([][]Entry, m),
 	}
-	if err := ranking.CheckSameDomain(rankings...); err != nil {
-		return nil, err
+	f.rebuild()
+	return f
+}
+
+// rebuild constructs a fresh certification core over the currently alive
+// lists and replays both logs of every survivor into it. Exact for the same
+// reason medrankDriver.rebuild is: every unseen position of a survivor is at
+// least that list's current frontier.
+func (f *caDriver) rebuild() {
+	if f.core != nil && f.core.bufferPeak > f.bufferPeak {
+		f.bufferPeak = f.core.bufferPeak
 	}
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	sources := make([]faults.Source, len(rankings))
-	for i, r := range rankings {
-		sources[i] = NewListSource(r, acc, i)
+	m := len(f.aliveIdx)
+	core := newNRACore(f.n, m, f.k)
+	for li, orig := range f.aliveIdx {
+		core.frontier[li] = f.sources[orig].Peek2()
 	}
-	return caOver(ctx, sources, k, ratio, acc)
+	for li, orig := range f.aliveIdx {
+		for _, e := range f.seqLogs[orig] {
+			core.add(li, e.Elem, e.Pos2)
+		}
+		for _, e := range f.randLogs[orig] {
+			core.add(li, e.Elem, e.Pos2)
+		}
+	}
+	f.core = core
+	if f.rrNext >= m {
+		f.rrNext = 0
+	}
+	f.sinceRA = 0
+}
+
+// drive alternates certification checks with work: a random-access
+// resolution when one is due and useful, otherwise one sorted round over the
+// survivors. The check runs at round granularity (the textbook NRA schedule)
+// rather than per probe: a per-probe check would cost O(candidates·m) per
+// entry consumed. The context is checked once per round, which is at most m
+// probes.
+func (f *caDriver) drive(ctx context.Context) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		done, blocker := f.core.check()
+		if done {
+			return nil
+		}
+		if f.ratio > 0 && blocker >= 0 && f.sinceRA >= f.ratio {
+			if err := f.resolve(ctx, blocker); err != nil {
+				return err
+			}
+			f.sinceRA = 0
+			continue
+		}
+		progressed, err := f.round(ctx)
+		if err != nil {
+			return err
+		}
+		if !progressed {
+			// Every survivor exhausted or truncated without a certificate:
+			// finalTopK promotes by the missing-positions-are-infinite
+			// convention, matching MEDRANK's degraded semantics. (With
+			// complete lists this is unreachable — full knowledge certifies.)
+			return nil
+		}
+		f.sinceRA++
+	}
+}
+
+// round performs one sorted access on each live survivor list in round-robin
+// order. A death mid-round aborts the round (the rebuilt core must be
+// re-checked before more work is scheduled against it).
+func (f *caDriver) round(ctx context.Context) (bool, error) {
+	progressed := false
+	for t, m := 0, len(f.aliveIdx); t < m; t++ {
+		if f.rrNext >= len(f.aliveIdx) {
+			f.rrNext = 0
+		}
+		li := f.rrNext
+		f.rrNext = (f.rrNext + 1) % len(f.aliveIdx)
+		if f.core.frontier[li] == math.MaxInt64 {
+			continue
+		}
+		orig := f.aliveIdx[li]
+		e, ok, err := f.sources[orig].Next(ctx)
+		if err != nil {
+			if err := f.kill(orig, err); err != nil {
+				return false, err
+			}
+			return true, nil
+		}
+		if !ok {
+			f.core.frontier[li] = math.MaxInt64
+			continue
+		}
+		f.acc.BucketIO(orig)
+		progressed = true
+		f.seqLogs[orig] = append(f.seqLogs[orig], e)
+		f.core.add(li, e.Elem, e.Pos2)
+		f.core.frontier[li] = f.sources[orig].Peek2()
+	}
+	return progressed, nil
+}
+
+// resolve closes the blocking candidate's interval: one random access per
+// surviving list where its position is still unknown. Fetched positions are
+// logged so a later rebuild replays them — random-access knowledge survives
+// list deaths just like sorted knowledge.
+func (f *caDriver) resolve(ctx context.Context, e int) error {
+	for li := 0; li < len(f.aliveIdx); li++ {
+		if f.core.knownIn(li, e) {
+			continue
+		}
+		orig := f.aliveIdx[li]
+		v, err := f.sources[orig].Pos2(ctx, e)
+		if err != nil {
+			// On a death the survivor slots shift; the caller re-checks.
+			return f.kill(orig, err)
+		}
+		f.randLogs[orig] = append(f.randLogs[orig], Entry{Elem: e, Pos2: v})
+		f.core.add(li, e, v)
+	}
+	return nil
+}
+
+// kill handles an access error on list orig: the run stops on a context
+// error or when no list survives, and otherwise continues over a rebuilt
+// core (survivor slots renumbered).
+func (f *caDriver) kill(orig int, err error) error {
+	if err := f.fail(orig, err); err != nil {
+		return err
+	}
+	f.rebuild()
+	return nil
+}
+
+func (f *caDriver) answer() *Result {
+	winners, medians2, intervals := f.core.finalTopK()
+	if f.core.bufferPeak > f.bufferPeak {
+		f.bufferPeak = f.core.bufferPeak
+	}
+	res := &Result{Winners: winners, Medians2: medians2, Intervals2: intervals, BufferPeak: f.bufferPeak}
+	if len(f.lost) > 0 {
+		// A random-accessed position is exactly as authoritative as a
+		// scanned one.
+		res.Degraded = f.degraded(logPositions(winners, len(f.sources), f.seqLogs, f.randLogs))
+	}
+	return res
 }

@@ -72,13 +72,13 @@ func TestNRACAEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, tc := range equivalenceMatrix(seed) {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, tc.name), func(t *testing.T) {
-				want, err := MedRank(tc.in, tc.k, RoundRobin)
+				want, err := runSpec(tc.in, Spec{K: tc.k, Policy: RoundRobin}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantSet := sortedSet(want.Winners)
 
-				ta, err := ThresholdTopK(tc.in, tc.k)
+				ta, err := runSpec(tc.in, Spec{Algo: AlgoTA, K: tc.k}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +86,7 @@ func TestNRACAEquivalence(t *testing.T) {
 					t.Fatalf("TA answer set %v != MEDRANK %v", got, wantSet)
 				}
 
-				nra, err := NRA(tc.in, tc.k)
+				nra, err := runSpec(tc.in, Spec{Algo: AlgoNRA, K: tc.k}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestNRACAEquivalence(t *testing.T) {
 				}
 
 				for _, ratio := range []int{1, 10, 100} {
-					ca, err := CA(tc.in, tc.k, ratio)
+					ca, err := runSpec(tc.in, Spec{Algo: AlgoCA, K: tc.k, CostRatio: ratio}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -127,7 +127,7 @@ func TestNRACAEquivalence(t *testing.T) {
 					}
 				}
 				// CA at ratio 0 is the NRA regime: same run, zero random.
-				ca0, err := CA(tc.in, tc.k, 0)
+				ca0, err := runSpec(tc.in, Spec{Algo: AlgoCA, K: tc.k, CostRatio: 0}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +164,7 @@ func TestNRACAOverDeathEquivalence(t *testing.T) {
 		for victim := 0; victim < m; victim++ {
 			run := func() *Result {
 				acc := telemetry.NewAccessAccountant(m)
-				srcs := chaosSources(in, acc, func(i int, s faults.Source) faults.Source {
+				srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
 					if i != victim {
 						return s
 					}
@@ -196,7 +196,7 @@ func TestNRACAOverDeathEquivalence(t *testing.T) {
 					survivors = append(survivors, r)
 				}
 			}
-			want, err := MedRank(survivors, k, RoundRobin)
+			want, err := runSpec(survivors, Spec{K: k, Policy: RoundRobin}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestNRACAOverChaosMatrix(t *testing.T) {
 		for _, ratio := range []int{0, 10} {
 			sl := &faults.FakeSleeper{}
 			acc := telemetry.NewAccessAccountant(m)
-			srcs := chaosSources(in, acc, func(i int, s faults.Source) faults.Source {
+			srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
 				s = faults.Inject(s, faults.Plan{
 					Seed: seed + trial*100 + int64(i), TransientRate: 0.01, DeathRate: 0.004, Sleeper: sl,
 				})
@@ -247,7 +247,7 @@ func TestNRACAOverChaosMatrix(t *testing.T) {
 					}
 				}
 			}
-			want, err := MedRank(survivors, k, RoundRobin)
+			want, err := runSpec(survivors, Spec{K: k, Policy: RoundRobin}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,15 +269,15 @@ func TestCACostMonotonicity(t *testing.T) {
 	const cs, cr = 1, 10
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, tc := range equivalenceMatrix(seed) {
-			ta, err := ThresholdTopK(tc.in, tc.k)
+			ta, err := runSpec(tc.in, Spec{Algo: AlgoTA, K: tc.k}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nra, err := NRA(tc.in, tc.k)
+			nra, err := runSpec(tc.in, Spec{Algo: AlgoNRA, K: tc.k}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ca, err := CA(tc.in, tc.k, cr/cs)
+			ca, err := runSpec(tc.in, Spec{Algo: AlgoCA, K: tc.k, CostRatio: cr / cs}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +326,7 @@ func TestCertificateLowerBoundAbsentElements(t *testing.T) {
 func TestCertificateLowerBoundCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := randrank.CatalogEnsemble(rng, 200, 5, 6, 1.0, 1.5).Rankings
-	res, err := MedRank(in, 8, RoundRobin)
+	res, err := runSpec(in, Spec{K: 8, Policy: RoundRobin}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +365,12 @@ func TestCertificateLowerBoundCost(t *testing.T) {
 func TestNRAExhaustsCompleteInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := randrank.CatalogEnsemble(rng, 60, 3, 5, 1.0, 1.0).Rankings
-	want, err := MedRank(in, 60, RoundRobin)
+	want, err := runSpec(in, Spec{K: 60, Policy: RoundRobin}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ratio := range []int{0, 5} {
-		got, err := CA(in, 60, ratio)
+		got, err := runSpec(in, Spec{Algo: AlgoCA, K: 60, CostRatio: ratio}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,10 +378,10 @@ func TestNRAExhaustsCompleteInstance(t *testing.T) {
 			t.Fatalf("ratio %d: k=n answer set differs", ratio)
 		}
 	}
-	if _, err := CA(in, 3, -1); err == nil {
+	if _, err := runSpec(in, Spec{Algo: AlgoCA, K: 3, CostRatio: -1}, nil); err == nil {
 		t.Fatal("negative ratio must be rejected")
 	}
-	if _, err := NRA(nil, 3); err == nil {
+	if _, err := runSpec(nil, Spec{Algo: AlgoNRA, K: 3}, nil); err == nil {
 		t.Fatal("empty input must be rejected")
 	}
 }

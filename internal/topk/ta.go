@@ -3,11 +3,10 @@ package topk
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/ranking"
 	"repro/internal/telemetry"
 )
 
@@ -17,11 +16,11 @@ var (
 	tTAApproxEarly = telemetry.GetCounter("topk.ta_approx.early_stops")
 )
 
-// ApproxCertificate is the quality certificate of a θ-approximate TA run, in
-// the sense of Fagin–Lotem–Naor's approximation variant of the Threshold
-// Algorithm: for every reported winner y and every element z NOT reported,
-// the doubled median of y is at most (1+θ) times the doubled median of z.
-// The certificate carries the two quantities the guarantee is derived from at
+// ApproxCertificate is the quality certificate of a TA run, in the sense of
+// Fagin–Lotem–Naor's approximation variant of the Threshold Algorithm: for
+// every reported winner y and every element z NOT reported, the doubled
+// median of y is at most (1+θ) times the doubled median of z. The
+// certificate carries the two quantities the guarantee is derived from at
 // the moment the run stopped, so clients (and tests) can re-verify it.
 type ApproxCertificate struct {
 	// Theta is the requested slack; the run is a (1+θ)-approximation.
@@ -42,201 +41,271 @@ type ApproxCertificate struct {
 	EarlyStop bool `json:"early_stop"`
 }
 
-// ThresholdTopK is a TA-style baseline in the spirit of the Threshold
-// Algorithm of Fagin, Lotem, and Naor, adapted to median-rank aggregation
-// over partial rankings: lists are read round-robin under sorted access, and
-// every newly discovered element is immediately resolved by random access to
-// its position in every other list, so its exact lower median is known the
-// moment it is first seen. The run stops once k resolved elements have
-// medians strictly below the threshold — the needed-th smallest frontier
+// taDriver is the TA-style engine in the spirit of the Threshold Algorithm
+// of Fagin, Lotem, and Naor, adapted to median-rank aggregation over partial
+// rankings: lists are read round-robin under sorted access, and every newly
+// discovered element is immediately resolved by random access to its
+// position in every other surviving list, so its exact lower median is known
+// the moment it is first seen. The run stops once k resolved elements have
+// medians strictly below the threshold τ — the needed-th smallest frontier
 // position, a lower bound on the median of any still-unseen element.
 //
-// The answer is identical to MedRank's. The cost profile is the interesting
+// The answer is identical to MEDRANK's. The cost profile is the interesting
 // part: TA trades MEDRANK's extra sorted accesses for m-1 random accesses
 // per distinct element it touches, which is exactly the trade-off the FLN
-// middleware cost model (AccessStats.MiddlewareCost) prices. MEDRANK is the
-// paper's instance-optimal choice when random accesses are impossible or
-// expensive; ThresholdTopK exists so experiments can report both regimes
-// through the same unified access accounting.
-func ThresholdTopK(rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	return ThresholdTopKContext(context.Background(), rankings, k)
-}
-
-// ThresholdTopKContext is ThresholdTopK under a caller context: telemetry
-// labels attach to it and cancellation or deadline expiry aborts the run
-// between accesses with ctx.Err().
-func ThresholdTopKContext(ctx context.Context, rankings []*ranking.PartialRanking, k int) (*Result, error) {
-	res, _, err := thresholdTopK(ctx, rankings, k, 0)
-	if err != nil {
-		return nil, err
-	}
-	tTARuns.Inc()
-	tTAProbes.Add(int64(res.Stats.Total))
-	tTARandom.Add(int64(res.Stats.Random))
-	return res, nil
-}
-
-// ThresholdTopKApprox is the θ-approximation variant of ThresholdTopKContext
-// (FLN's approximate TA): the run may stop as soon as the k-th best resolved
-// median is within a (1+θ) factor of the threshold, instead of strictly
-// below it. The Result carries an ApproxCertificate proving the (1+θ) bound;
-// with θ = 0 the relaxed test never fires and the run — probe schedule,
-// accesses, and answer — is bit-identical to the exact engine.
+// middleware cost model (AccessStats.MiddlewareCost) prices.
 //
-// The point of the variant is graceful degradation: under deadline pressure
-// a (1+θ)-certified answer now beats an exact answer that never arrives.
-func ThresholdTopKApprox(ctx context.Context, rankings []*ranking.PartialRanking, k int, theta float64) (*Result, error) {
-	if theta < 0 || math.IsNaN(theta) || math.IsInf(theta, 0) {
-		return nil, fmt.Errorf("topk: theta=%v out of range [0, +inf)", theta)
-	}
-	res, cert, err := thresholdTopK(ctx, rankings, k, theta)
-	if err != nil {
-		return nil, err
-	}
-	res.Approx = &cert
-	tTAApproxRuns.Inc()
-	if cert.EarlyStop {
-		tTAApproxEarly.Inc()
-	}
-	return res, nil
+// With θ > 0 the run may also stop as soon as the k-th best resolved median
+// is within a (1+θ) factor of τ (FLN's approximate TA); the relaxed test is
+// evaluated strictly after the exact one, so θ = 0 takes exactly the exact
+// engine's branch sequence. Under deadline pressure a (1+θ)-certified answer
+// now beats an exact answer that never arrives.
+//
+// A list whose access fails for good is dropped from the aggregation: every
+// resolved median is recomputed over the survivors (each resolved element's
+// positions in all currently alive lists are known, so the recomputation is
+// exact). A truncated sorted scan costs TA nothing but discovery: elements
+// the scans never reveal are resolved by random access once every survivor
+// is exhausted, because random access by identity still works on a source
+// whose scan ended early.
+type taDriver struct {
+	lists
+	n, k     int
+	theta    float64
+	needed   int       // (survivors+1)/2, the survivor median index
+	frontier []int64   // per original list; dead and exhausted lists sit at MaxInt64
+	pos      [][]int64 // per resolved element: positions, MaxInt64 = unknown
+	slab     []int64   // unused tail of the block resolved rows are carved from
+	med      []int64   // per element: lower median over alive lists, MaxInt64 until resolved
+	kSmall   *int64MaxHeap
+	resolved int
+	rrNext   int
+	scratch  []int64 // kthAlive's reused buffer
+	cert     ApproxCertificate
 }
 
-// thresholdTopK is the shared TA loop. theta == 0 runs the exact strict
-// stopping rule and nothing else; theta > 0 additionally stops early once the
-// k-th best resolved median is ≤ (1+θ)·τ. The exact test is evaluated first
-// each iteration, so a θ = 0 run takes exactly the exact engine's branch
-// sequence.
-func thresholdTopK(ctx context.Context, rankings []*ranking.PartialRanking, k int, theta float64) (*Result, ApproxCertificate, error) {
-	cert := ApproxCertificate{Theta: theta, Ratio: 1}
-	if len(rankings) == 0 {
-		return nil, cert, fmt.Errorf("topk: no input rankings")
-	}
-	if err := ranking.CheckSameDomain(rankings...); err != nil {
-		return nil, cert, err
-	}
-	n := rankings[0].N()
-	if k < 0 || k > n {
-		return nil, cert, fmt.Errorf("topk: k=%d out of range [0,%d]", k, n)
-	}
-	m := len(rankings)
-	needed := (m + 1) / 2
+// taSlabRows is how many resolved rows one slab allocation holds.
+const taSlabRows = 64
 
-	acc := telemetry.NewAccessAccountant(m)
-	cursors := make([]*Cursor, m)
-	frontier := make([]int64, m)
-	for i, r := range rankings {
-		cursors[i] = newCursorAt(r, acc, i)
-		frontier[i] = cursors[i].Peek2()
+func newTADriver(l lists, n, k int, theta float64) *taDriver {
+	m := len(l.sources)
+	t := &taDriver{
+		lists:    l,
+		n:        n,
+		k:        k,
+		theta:    theta,
+		needed:   (m + 1) / 2,
+		frontier: make([]int64, m),
+		pos:      make([][]int64, n),
+		med:      make([]int64, n),
+		kSmall:   &int64MaxHeap{},
+		scratch:  make([]int64, 0, m),
+		cert:     ApproxCertificate{Theta: theta, Ratio: 1},
 	}
+	for i, s := range l.sources {
+		t.frontier[i] = s.Peek2()
+	}
+	for e := range t.med {
+		t.med[e] = math.MaxInt64
+	}
+	return t
+}
 
-	med := make([]int64, n)
-	for e := range med {
-		med[e] = math.MaxInt64
+func (t *taDriver) drive(ctx context.Context) error {
+	if t.k == 0 {
+		return nil
 	}
-	positions := make([]int64, m)
-	kSmall := &int64MaxHeap{}
-	resolved := 0
-
-	var derr error
-	sctx, sp := telemetry.Start(ctx, "topk.ta")
-	if theta > 0 {
-		sp.SetAttr("theta_milli", int64(theta*1000))
-	}
-	telemetry.Do(sctx, "kernel", "ta", func(ctx context.Context) {
-		if k == 0 {
-			return
-		}
-		next := 0
-		for it := 0; resolved < n; it++ {
-			if it%ctxCheckStride == 0 {
-				if derr = ctx.Err(); derr != nil {
-					return
-				}
-			}
-			if resolved >= k {
-				tau := kthSmallest(frontier, needed)
-				kth := kSmall.Peek()
-				// Threshold test: with k exact medians strictly below the best
-				// median any unseen element could achieve, the answer is final
-				// (strictness sidesteps ties, which break by element ID).
-				if kth < tau {
-					cert.Threshold2, cert.KthMedian2 = tau, kth
-					return
-				}
-				// θ-relaxed test: the k-th best resolved median is within a
-				// (1+θ) factor of τ, so any element the run has not resolved
-				// can beat a reported winner by at most that factor.
-				if theta > 0 && tau < math.MaxInt64 &&
-					float64(kth) <= (1+theta)*float64(tau) {
-					cert.Threshold2, cert.KthMedian2 = tau, kth
-					cert.EarlyStop = true
-					if tau > 0 && kth > tau {
-						cert.Ratio = float64(kth) / float64(tau)
-					}
-					return
-				}
-			}
-			// Round-robin sorted access over the non-exhausted lists.
-			i := -1
-			for tries := 0; tries < m; tries++ {
-				c := next
-				next = (next + 1) % m
-				if frontier[c] < math.MaxInt64 {
-					i = c
-					break
-				}
-			}
-			if i < 0 {
-				return // all lists exhausted: every element resolved
-			}
-			e, ok := cursors[i].Next()
-			if !ok {
-				frontier[i] = math.MaxInt64
-				continue
-			}
-			frontier[i] = cursors[i].Peek2()
-			if med[e.Elem] != math.MaxInt64 {
-				continue // already resolved via random access
-			}
-			// Random-access the element's position in every other list.
-			positions[i] = e.Pos2
-			for j, r := range rankings {
-				if j == i {
-					continue
-				}
-				acc.Random(j)
-				positions[j] = r.Pos2(e.Elem)
-			}
-			med[e.Elem] = kthSmallest(positions, needed)
-			resolved++
-			heap.Push(kSmall, med[e.Elem])
-			if kSmall.Len() > k {
-				heap.Pop(kSmall)
+	for it := 0; t.resolved < t.n; it++ {
+		if it%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-	})
-	sp.End()
-	if derr != nil {
-		return nil, cert, derr
+		if t.resolved >= t.k && t.stop() {
+			return nil
+		}
+		// Round-robin sorted access over the lists whose scans go on.
+		i := -1
+		for tries := 0; tries < len(t.frontier); tries++ {
+			c := t.rrNext
+			t.rrNext = (t.rrNext + 1) % len(t.frontier)
+			if t.frontier[c] < math.MaxInt64 {
+				i = c
+				break
+			}
+		}
+		if i < 0 {
+			// Every survivor's scan has ended. Lists that merely truncated
+			// still answer random accesses, so resolve the undiscovered rest
+			// by identity.
+			return t.finalizeByRandomAccess(ctx)
+		}
+		e, ok, err := t.sources[i].Next(ctx)
+		if err != nil {
+			if err := t.kill(i, err); err != nil {
+				return err
+			}
+			continue
+		}
+		if !ok {
+			t.frontier[i] = math.MaxInt64
+			continue
+		}
+		t.frontier[i] = t.sources[i].Peek2()
+		if t.med[e.Elem] != math.MaxInt64 {
+			continue // already resolved via random access
+		}
+		if err := t.resolve(ctx, e.Elem, i, e.Pos2); err != nil {
+			return err
+		}
 	}
+	return nil
+}
 
-	winners, medians2 := selectTopK(med, k)
-	top, err := ranking.TopKList(n, k, winners)
-	if err != nil {
-		return nil, cert, err
+// stop applies the stopping rules with at least k elements resolved and
+// records the certificate when one fires. Dead and exhausted lists both sit
+// at MaxInt64, so the needed-th smallest over the whole frontier array is the
+// needed-th smallest alive frontier.
+func (t *taDriver) stop() bool {
+	tau := kthSmallest(t.frontier, t.needed)
+	kth := t.kSmall.Peek()
+	// Threshold test: with k exact medians strictly below the best median
+	// any unseen element could achieve, the answer is final (strictness
+	// sidesteps ties, which break by element ID).
+	if kth < tau {
+		t.cert.Threshold2, t.cert.KthMedian2 = tau, kth
+		return true
 	}
-	if cert.KthMedian2 == 0 && len(medians2) > 0 {
+	// θ-relaxed test: the k-th best resolved median is within a (1+θ)
+	// factor of τ, so any element the run has not resolved can beat a
+	// reported winner by at most that factor.
+	if t.theta > 0 && tau < math.MaxInt64 && float64(kth) <= (1+t.theta)*float64(tau) {
+		t.cert.Threshold2, t.cert.KthMedian2 = tau, kth
+		t.cert.EarlyStop = true
+		if tau > 0 && kth > tau {
+			t.cert.Ratio = float64(kth) / float64(tau)
+		}
+		return true
+	}
+	return false
+}
+
+// resolve random-accesses elem's position in every alive list (except seedList
+// when its position arrived by sorted access) and records the element's exact
+// lower median over the survivors. A list dying mid-resolution is killed and
+// the resolution continues over the rest.
+func (t *taDriver) resolve(ctx context.Context, elem, seedList int, seedPos2 int64) error {
+	m := len(t.sources)
+	if len(t.slab) < m {
+		t.slab = make([]int64, taSlabRows*m)
+	}
+	row := t.slab[:m:m]
+	t.slab = t.slab[m:]
+	for j := range row {
+		row[j] = math.MaxInt64
+	}
+	if seedList >= 0 {
+		row[seedList] = seedPos2
+	}
+	for j := 0; j < m; j++ {
+		if j == seedList || !t.alive[j] {
+			continue
+		}
+		v, err := t.sources[j].Pos2(ctx, elem)
+		if err != nil {
+			if err := t.kill(j, err); err != nil {
+				return err
+			}
+			continue
+		}
+		row[j] = v
+	}
+	t.pos[elem] = row
+	t.med[elem] = t.kthAlive(row)
+	t.resolved++
+	heap.Push(t.kSmall, t.med[elem])
+	if t.kSmall.Len() > t.k {
+		heap.Pop(t.kSmall)
+	}
+	return nil
+}
+
+func (t *taDriver) finalizeByRandomAccess(ctx context.Context) error {
+	for e := 0; e < t.n && t.resolved < t.n; e++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if t.med[e] != math.MaxInt64 {
+			continue
+		}
+		if err := t.resolve(ctx, e, -1, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kill handles an access error on list j. Unless the run must stop, the list
+// is dropped from the aggregation and every resolved median is recomputed
+// over the survivors. The recomputation is exact: a resolved element's row
+// holds its true position in every list that was alive at resolution time, a
+// superset of the lists alive now.
+func (t *taDriver) kill(j int, cause error) error {
+	if err := t.fail(j, cause); err != nil {
+		return err
+	}
+	t.frontier[j] = math.MaxInt64
+	t.needed = (len(t.aliveIdx) + 1) / 2
+	*t.kSmall = (*t.kSmall)[:0]
+	for e := 0; e < t.n; e++ {
+		if t.pos[e] == nil {
+			continue
+		}
+		t.med[e] = t.kthAlive(t.pos[e])
+		heap.Push(t.kSmall, t.med[e])
+		if t.kSmall.Len() > t.k {
+			heap.Pop(t.kSmall)
+		}
+	}
+	return nil
+}
+
+// kthAlive returns the needed-th smallest of row restricted to alive lists.
+func (t *taDriver) kthAlive(row []int64) int64 {
+	vals := t.scratch[:0]
+	for j, v := range row {
+		if t.alive[j] {
+			vals = append(vals, v)
+		}
+	}
+	slices.Sort(vals)
+	return vals[t.needed-1]
+}
+
+func (t *taDriver) answer() *Result {
+	winners, medians2 := selectTopK(t.med, t.k)
+	if t.cert.KthMedian2 == 0 && len(medians2) > 0 {
 		// The run resolved everything (or stopped by exhaustion): the
 		// certificate is exact, anchored on the reported worst winner.
-		cert.KthMedian2 = medians2[len(medians2)-1]
+		t.cert.KthMedian2 = medians2[len(medians2)-1]
 	}
-	stats := statsFromReport(acc.Report())
-	return &Result{
-		TopK:     top,
-		Winners:  winners,
-		Medians2: medians2,
-		Stats:    stats,
-	}, cert, nil
+	if t.theta > 0 {
+		tTAApproxRuns.Inc()
+		if t.cert.EarlyStop {
+			tTAApproxEarly.Inc()
+		}
+	}
+	res := &Result{Winners: winners, Medians2: medians2, Approx: &t.cert}
+	if len(t.lost) > 0 {
+		// Positions resolved before a death are exact; positions in lists
+		// dead before resolution are unknown.
+		obs := make([][]int64, len(winners))
+		for i, w := range winners {
+			obs[i] = t.pos[w]
+		}
+		res.Degraded = t.degraded(obs)
+	}
+	return res
 }
 
 // selectTopK ranks resolved elements by (median, element ID) and returns the

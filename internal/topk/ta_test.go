@@ -22,11 +22,11 @@ func TestThresholdTopKMatchesMedRank(t *testing.T) {
 		for i := 0; i < m; i++ {
 			in = append(in, randrank.Partial(rng, n, 1+rng.Intn(5)))
 		}
-		want, err := MedRank(in, k, RoundRobin)
+		want, err := runSpec(in, Spec{K: k, Policy: RoundRobin}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ThresholdTopK(in, k)
+		got, err := runSpec(in, Spec{Algo: AlgoTA, K: k}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestThresholdTopKAccessProfile(t *testing.T) {
 	for i := 0; i < m; i++ {
 		in = append(in, randrank.Partial(rng, n, 4))
 	}
-	res, err := ThresholdTopK(in, 3)
+	res, err := runSpec(in, Spec{Algo: AlgoTA, K: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestThresholdTopKAccessProfile(t *testing.T) {
 	if res.Stats.Total > n*m {
 		t.Errorf("sequential accesses %d exceed the full scan %d", res.Stats.Total, n*m)
 	}
-	mr, err := MedRank(in, 3, RoundRobin)
+	mr, err := runSpec(in, Spec{K: 3, Policy: RoundRobin}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +81,9 @@ func TestThresholdTopKAccessProfile(t *testing.T) {
 	}
 }
 
-// TestOptimalityRatioAtLeastOne checks MEDRANK's probes against the
-// certificate lower bound through the AccessStats helper: the ratio is >= 1
-// whenever the bound is defined, and 0 when it is not.
+// TestOptimalityRatioAtLeastOne checks MEDRANK's cost against the
+// certificate lower bound in the NRA cost regime (cs=1, cr=0): the ratio is
+// >= 1 whenever the bound is defined, and 0 when it is not.
 func TestOptimalityRatioAtLeastOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -94,7 +94,7 @@ func TestOptimalityRatioAtLeastOne(t *testing.T) {
 		for i := 0; i < m; i++ {
 			in = append(in, randrank.Partial(rng, n, 3))
 		}
-		res, err := MedRank(in, k, GlobalMerge)
+		res, err := runSpec(in, Spec{K: k, Policy: GlobalMerge}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +102,12 @@ func TestOptimalityRatioAtLeastOne(t *testing.T) {
 		if lb <= 0 {
 			t.Fatalf("certificate bound %d for k=%d", lb, k)
 		}
-		if ratio := res.Stats.OptimalityRatio(lb); ratio < 1 {
+		if ratio := res.Stats.CostOptimalityRatio(1, 0, lb); ratio < 1 {
 			t.Errorf("optimality ratio %v < 1 (probes %d, bound %d)", ratio, res.Stats.Total, lb)
 		}
 	}
 	var st AccessStats
-	if st.OptimalityRatio(0) != 0 {
+	if st.CostOptimalityRatio(1, 0, 0) != 0 {
 		t.Error("ratio with zero bound should be 0")
 	}
 }
@@ -134,7 +134,7 @@ func TestTAThetaExhaustedListNoStaleStop(t *testing.T) {
 		for i := 0; i < m; i++ {
 			in = append(in, randrank.Partial(rng, n, 4))
 		}
-		exact, err := MedRank(in, n, GlobalMerge)
+		exact, err := runSpec(in, Spec{K: n, Policy: GlobalMerge}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestTAThetaExhaustedListNoStaleStop(t *testing.T) {
 		}
 		for _, k := range []int{n - 1, n - 2} {
 			for _, theta := range []float64{0.1, 0.5, 10} {
-				res, err := ThresholdTopKApprox(context.Background(), in, k, theta)
+				res, err := runTA(context.Background(), in, k, theta)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func TestTAThetaExhaustedListNoStaleStop(t *testing.T) {
 		// resolved, lists fully drained): the relaxed test must never fire
 		// there — the MaxInt64 guard keeps θ away from an all-exhausted
 		// frontier — and the answer must be exact.
-		res, err := ThresholdTopKApprox(context.Background(), in, n, 10)
+		res, err := runTA(context.Background(), in, n, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

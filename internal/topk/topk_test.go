@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/aggregate"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 var policies = []struct {
@@ -20,11 +22,15 @@ var policies = []struct {
 
 func TestCursorYieldsPositionOrder(t *testing.T) {
 	pr := ranking.MustFromBuckets(5, [][]int{{2, 4}, {0}, {1, 3}})
-	c := NewCursor(pr)
+	acc := telemetry.NewAccessAccountant(1)
+	src := NewListSource(pr, acc, 0)
 	var elems []int
 	var prev int64 = -1
 	for {
-		e, ok := c.Next()
+		e, ok, err := src.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
@@ -36,35 +42,18 @@ func TestCursorYieldsPositionOrder(t *testing.T) {
 	}
 	want := []int{2, 4, 0, 1, 3}
 	if len(elems) != len(want) {
-		t.Fatalf("cursor yielded %v", elems)
+		t.Fatalf("source yielded %v", elems)
 	}
 	for i := range want {
 		if elems[i] != want[i] {
-			t.Fatalf("cursor order %v, want %v", elems, want)
+			t.Fatalf("source order %v, want %v", elems, want)
 		}
 	}
-	if c.Probes() != 5 {
-		t.Errorf("probes = %d, want 5", c.Probes())
+	if got := acc.SequentialIn(0); got != 5 {
+		t.Errorf("probes = %d, want 5", got)
 	}
-	if c.Peek2() != int64(math.MaxInt64) {
-		t.Errorf("exhausted Peek2 = %d, want MaxInt64", c.Peek2())
-	}
-}
-
-func TestCursorSeenIn(t *testing.T) {
-	pr := ranking.MustFromBuckets(4, [][]int{{1, 3}, {0, 2}})
-	c := NewCursor(pr)
-	if c.seenIn(1) {
-		t.Error("element seen before any probe")
-	}
-	c.Next() // probes element 1
-	if !c.seenIn(1) || c.seenIn(3) || c.seenIn(0) {
-		t.Error("seenIn wrong after first probe")
-	}
-	c.Next() // probes element 3
-	c.Next() // probes element 0
-	if !c.seenIn(3) || !c.seenIn(0) || c.seenIn(2) {
-		t.Error("seenIn wrong after three probes")
+	if src.Peek2() != int64(math.MaxInt64) {
+		t.Errorf("exhausted Peek2 = %d, want MaxInt64", src.Peek2())
 	}
 }
 
@@ -85,7 +74,7 @@ func TestMedRankMatchesOfflineRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range policies {
-			got, err := MedRank(in, k, pol.p)
+			got, err := runSpec(in, Spec{K: k, Policy: pol.p}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +114,7 @@ func TestMedRankMatchesOfflineExhaustive(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, pol := range policies {
-						got, err := MedRank(in, k, pol.p)
+						got, err := runSpec(in, Spec{K: k, Policy: pol.p}, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -154,7 +143,7 @@ func TestMedRankAccessBounds(t *testing.T) {
 		}
 		full := FullScanCost(in)
 		for _, pol := range policies {
-			res, err := MedRank(in, k, pol.p)
+			res, err := runSpec(in, Spec{K: k, Policy: pol.p}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +176,7 @@ func TestMedRankSublinearOnCorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n, m := 2000, 5
 	in, _ := randrank.MallowsEnsemble(rng, n, m, 2.0)
-	res, err := MedRank(in, 1, GlobalMerge)
+	res, err := runSpec(in, Spec{K: 1, Policy: GlobalMerge}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +191,7 @@ func TestMedRankUnanimousMinimalProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	full := randrank.Full(rng, 100)
 	in := []*ranking.PartialRanking{full, full, full}
-	res, err := MedRank(in, 1, RoundRobin)
+	res, err := runSpec(in, Spec{K: 1, Policy: RoundRobin}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +207,7 @@ func TestMedRankUnanimousMinimalProbes(t *testing.T) {
 
 func TestMedRankEdgeCases(t *testing.T) {
 	a := ranking.MustFromBuckets(3, [][]int{{0, 1, 2}})
-	res, err := MedRank([]*ranking.PartialRanking{a}, 0, GlobalMerge)
+	res, err := runSpec([]*ranking.PartialRanking{a}, Spec{K: 0, Policy: GlobalMerge}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +215,7 @@ func TestMedRankEdgeCases(t *testing.T) {
 		t.Errorf("k=0 should probe nothing: %+v", res.Stats)
 	}
 	// k = n over a single everything-tied list.
-	res, err = MedRank([]*ranking.PartialRanking{a}, 3, GlobalMerge)
+	res, err = runSpec([]*ranking.PartialRanking{a}, Spec{K: 3, Policy: GlobalMerge}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,20 +223,20 @@ func TestMedRankEdgeCases(t *testing.T) {
 		t.Errorf("k=n winners = %v", res.Winners)
 	}
 
-	if _, err := MedRank(nil, 1, GlobalMerge); err == nil {
+	if _, err := runSpec(nil, Spec{K: 1, Policy: GlobalMerge}, nil); err == nil {
 		t.Error("empty ensemble accepted")
 	}
-	if _, err := MedRank([]*ranking.PartialRanking{a}, 4, GlobalMerge); err == nil {
+	if _, err := runSpec([]*ranking.PartialRanking{a}, Spec{K: 4, Policy: GlobalMerge}, nil); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := MedRank([]*ranking.PartialRanking{a}, -1, GlobalMerge); err == nil {
+	if _, err := runSpec([]*ranking.PartialRanking{a}, Spec{K: -1, Policy: GlobalMerge}, nil); err == nil {
 		t.Error("negative k accepted")
 	}
-	if _, err := MedRank([]*ranking.PartialRanking{a}, 1, Policy(7)); err == nil {
+	if _, err := runSpec([]*ranking.PartialRanking{a}, Spec{K: 1, Policy: Policy(7)}, nil); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	b := ranking.MustFromOrder([]int{0, 1})
-	if _, err := MedRank([]*ranking.PartialRanking{a, b}, 1, GlobalMerge); err == nil {
+	if _, err := runSpec([]*ranking.PartialRanking{a, b}, Spec{K: 1, Policy: GlobalMerge}, nil); err == nil {
 		t.Error("domain mismatch accepted")
 	}
 }
@@ -277,7 +266,7 @@ func TestMedRankBucketGranular(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range []Policy{GlobalMergeBuckets, RoundRobinBuckets} {
-			got, err := MedRank(in, k, pol)
+			got, err := runSpec(in, Spec{K: k, Policy: pol}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +294,7 @@ func TestMedRankBucketGranular(t *testing.T) {
 func TestMedRankBucketGranularSavesIO(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	in := randrank.CatalogEnsemble(rng, 2000, 5, 5, 1.0, 1.5).Rankings
-	res, err := MedRank(in, 10, GlobalMergeBuckets)
+	res, err := runSpec(in, Spec{K: 10, Policy: GlobalMergeBuckets}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +303,7 @@ func TestMedRankBucketGranularSavesIO(t *testing.T) {
 			res.Stats.TotalBucketProbes, res.Stats.Total)
 	}
 	// Element-granular stats count one I/O per element.
-	resEl, err := MedRank(in, 10, GlobalMerge)
+	resEl, err := runSpec(in, Spec{K: 10, Policy: GlobalMerge}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package rankties
 import (
 	"context"
 
+	"repro/internal/telemetry"
 	"repro/internal/topk"
 )
 
@@ -34,18 +35,19 @@ const (
 // deeply as needed to certify the winners, with every probe counted. In
 // the sequential-access model this algorithm is instance-optimal.
 func MedRank(rankings []*PartialRanking, k int, policy MedRankPolicy) (*MedRankResult, error) {
-	return topk.MedRank(rankings, k, policy)
+	return MedRankContext(context.Background(), rankings, k, policy)
 }
 
 // MedRankContext is MedRank under a caller context: cancellation or deadline
 // expiry aborts the run between probes with ctx.Err().
 func MedRankContext(ctx context.Context, rankings []*PartialRanking, k int, policy MedRankPolicy) (*MedRankResult, error) {
-	return topk.MedRankContext(ctx, rankings, k, policy)
+	acc := telemetry.NewAccessAccountant(len(rankings))
+	return topk.Run(ctx, topk.Spec{K: k, Policy: policy}, topk.ListSources(rankings, acc, nil), acc)
 }
 
 // Degraded annotates a MedRankResult whose input lists partially died
 // mid-query (fallible-source runs only); see the internal faults package and
-// topk.MedRankOver for building fallible pipelines.
+// topk.Run for building fallible pipelines.
 type Degraded = topk.Degraded
 
 // FullScanCost returns the access cost of reading every list completely,
