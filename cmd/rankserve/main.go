@@ -126,11 +126,11 @@ func run(args []string, logw io.Writer) error {
 	}
 
 	// A server wants its instruments live: enable the gated telemetry layer
-	// and publish both registries — the process-wide one under "rankties",
-	// the service's endpoint-latency registry under "rankties.server" — so
-	// /debug/vars carries both without colliding. The Prometheus exposition
-	// of the same instruments (plus the labeled per-tenant families) lives at
-	// GET /metrics; span trees of sampled requests at GET /debug/traces.
+	// and publish the process-wide registry under "rankties" at /debug/vars.
+	// The service's own rankserve_* families and the same process-wide
+	// instruments render at GET /metrics, /stats derives its tallies from
+	// those families, and span trees of sampled requests are at
+	// GET /debug/traces.
 	telemetry.Enable()
 	telemetry.SetRecentTraceCapacity(*traces)
 	svc := service.New(service.Config{
@@ -151,7 +151,6 @@ func run(args []string, logw io.Writer) error {
 		AccessLog:            logSink,
 	})
 	telemetry.PublishExpvar()
-	telemetry.PublishExpvarNamed("rankties.server", svc.Registry())
 
 	// Register the signal handler before the listener exists: once a client
 	// can reach the server, SIGINT is already guaranteed to drain rather

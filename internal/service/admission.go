@@ -165,7 +165,7 @@ func (a *admitter) forgetTenant(tenant string) {
 	a.mu.Unlock()
 }
 
-// admissionState is the admit-time outcome surfaced to spans and /stats.
+// admissionState is the admit-time outcome surfaced to the admission span.
 type admissionState struct {
 	queued   bool
 	queuePos int // 1-based position at enqueue time; 0 when admitted directly

@@ -82,12 +82,13 @@ func TestConcurrentMultiTenantAccess(t *testing.T) {
 		t.Error("aggregation workload produced no cache traffic")
 	}
 
-	// The always-on endpoint tallies must account for every request issued
-	// (the seeding PUTs plus the workload), with zero errors.
+	// The endpoint tallies must account for every request issued (the
+	// seeding PUTs plus the workload), with zero errors.
 	var counted, errored int64
-	for _, es := range svc.endpoints {
-		counted += es.requests.Load()
-		errored += es.errors.Load()
+	rows, _ := svc.endpointStats()
+	for _, es := range rows {
+		counted += es.Requests
+		errored += es.Errors
 	}
 	want := issued.Load() + tenants*catalogs
 	if counted != want {

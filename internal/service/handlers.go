@@ -244,10 +244,11 @@ type CacheStats struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// EndpointStats is one endpoint's always-on request/error tally plus the
-// latency percentiles self-reported from the endpoint's base-2 histogram
-// (upper-bound quantiles; zero when telemetry is disabled, since latency
-// observations are gated).
+// EndpointStats is one endpoint's request/error tally, summed over the
+// rankserve_requests_total series (errors are the non-200 statuses), plus
+// latency percentiles from rankserve_request_latency_ns merged across
+// tenants (upper-bound quantiles; zero when telemetry is disabled, since
+// latency observations are gated).
 type EndpointStats struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
@@ -256,8 +257,9 @@ type EndpointStats struct {
 	P99Ns    int64 `json:"p99_ns,omitempty"`
 }
 
-// OverloadStats is the /stats view of the admission pipeline: always-on shed
-// tallies by reason, ladder degradations by level, and the live queue state.
+// OverloadStats is the /stats view of the admission pipeline: shed tallies by
+// reason (rankserve_shed_total), ladder degradations by level
+// (rankserve_degraded_answers_total), and the live queue state.
 type OverloadStats struct {
 	ShedRateLimit int64 `json:"shed_rate_limit"`
 	ShedQueueFull int64 `json:"shed_queue_full"`
@@ -271,7 +273,10 @@ type OverloadStats struct {
 	EngineEwmaNs int64 `json:"engine_ewma_ns"`
 }
 
-// StatsResponse is the /stats snapshot.
+// StatsResponse is the /stats snapshot. DegradedQueries sums
+// rankserve_degraded_queries_total; Server holds the per-endpoint latency
+// histograms as http.<op>.latency_ns; Telemetry is the process-wide default
+// registry.
 type StatsResponse struct {
 	UptimeNs        int64                    `json:"uptime_ns"`
 	Tenants         []TenantStats            `json:"tenants"`
@@ -285,18 +290,26 @@ type StatsResponse struct {
 
 // Handler returns the service's HTTP API mux, with the diagnostics surface
 // (expvar, pprof) mounted under /debug/ via debugserve.
-func (s *Service) Handler() http.Handler {
+func (s *Service) Handler() http.Handler { return s.mux }
+
+// newMux builds the HTTP API, recording each instrumented op: /stats reports
+// a row for every endpoint, served or not.
+func (s *Service) newMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /stats", s.instrument("stats", s.handleStats))
-	mux.HandleFunc("PUT /v1/tenants/{tenant}/catalogs/{catalog}", s.instrument("put_catalog", s.handlePutCatalog))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/catalogs/{catalog}/rankings", s.instrument("append_rankings", s.handleAppendRankings))
-	mux.HandleFunc("GET /v1/tenants/{tenant}/catalogs/{catalog}", s.instrument("get_catalog", s.handleGetCatalog))
-	mux.HandleFunc("DELETE /v1/tenants/{tenant}/catalogs/{catalog}", s.instrument("delete_catalog", s.handleDeleteCatalog))
-	mux.HandleFunc("GET /v1/tenants/{tenant}/catalogs", s.instrument("list_catalogs", s.handleListCatalogs))
-	mux.HandleFunc("DELETE /v1/tenants/{tenant}", s.instrument("delete_tenant", s.handleDeleteTenant))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/catalogs/{catalog}/topk", s.instrument("topk", s.handleTopK))
-	mux.HandleFunc("POST /v1/tenants/{tenant}/catalogs/{catalog}/aggregate", s.instrument("aggregate", s.handleAggregate))
+	handle := func(pattern, op string, h apiHandler) {
+		s.ops = append(s.ops, op)
+		mux.HandleFunc(pattern, s.instrument(op, h))
+	}
+	handle("GET /healthz", "healthz", s.handleHealthz)
+	handle("GET /stats", "stats", s.handleStats)
+	handle("PUT /v1/tenants/{tenant}/catalogs/{catalog}", "put_catalog", s.handlePutCatalog)
+	handle("POST /v1/tenants/{tenant}/catalogs/{catalog}/rankings", "append_rankings", s.handleAppendRankings)
+	handle("GET /v1/tenants/{tenant}/catalogs/{catalog}", "get_catalog", s.handleGetCatalog)
+	handle("DELETE /v1/tenants/{tenant}/catalogs/{catalog}", "delete_catalog", s.handleDeleteCatalog)
+	handle("GET /v1/tenants/{tenant}/catalogs", "list_catalogs", s.handleListCatalogs)
+	handle("DELETE /v1/tenants/{tenant}", "delete_tenant", s.handleDeleteTenant)
+	handle("POST /v1/tenants/{tenant}/catalogs/{catalog}/topk", "topk", s.handleTopK)
+	handle("POST /v1/tenants/{tenant}/catalogs/{catalog}/aggregate", "aggregate", s.handleAggregate)
 	// The metrics scrape is deliberately uninstrumented: scrapers poll it on
 	// their own cadence and must not perturb the request series they read.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -583,20 +596,10 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		}
 	}
 
-	actx, adm := telemetry.Start(r.Context(), "admission")
-	release, astate, apiErr := s.admitQuery(actx, t.name)
-	if astate.queued {
-		adm.SetAttr("queued", 1)
-		adm.SetAttr("queue_pos", int64(astate.queuePos))
-	}
+	release, apiErr := s.admitQuery(r.Context(), t.name)
 	if apiErr != nil {
-		_, shsp := telemetry.Start(actx, "overload.shed")
-		shsp.SetAttr("status", int64(apiErr.status))
-		shsp.End()
-		adm.End()
 		return nil, apiErr
 	}
-	adm.End()
 	defer release()
 
 	algo := req.Algo
@@ -677,7 +680,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 			rankings[i] = c.rankings[orig]
 		}
 		trimSummary = &TrimSummary{Dropped: dropped, Survivors: len(keptIdx), Weights: weights}
-		s.mRobustTrim.With(t.name).Add(int64(len(dropped)))
+		s.mRobustTrim.With(t.name).ForceAdd(int64(len(dropped)))
 	}
 
 	if level == LadderApprox {
@@ -727,13 +730,10 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		CostRatio:      spec.CostRatio,
 		MiddlewareCost: res.Stats.MiddlewareCost(1, spec.CostRatio),
 	}
-	s.mAlgo.With(t.name, spec.Algo).Inc()
-	s.mMwCost.With(t.name, spec.Algo).Add(int64(access.MiddlewareCost))
+	s.mAlgo.With(t.name, spec.Algo).ForceInc()
+	s.mMwCost.With(t.name, spec.Algo).ForceAdd(int64(access.MiddlewareCost))
 	spanAttrsFromAccess(&eng, access, res.Degraded != nil)
 	eng.End()
-	if res.Degraded != nil {
-		s.degraded.Add(1)
-	}
 	if meta != nil {
 		meta.access = access
 		meta.degraded = res.Degraded != nil
@@ -770,8 +770,7 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		if level == LadderApprox {
 			resp.Ladder.Theta = theta
 			resp.Ladder.Certificate = res.Approx
-			s.ladderApprox.Add(1)
-			s.mDegradedAns.With(t.name, LadderApprox).Inc()
+			s.mDegradedAns.With(t.name, LadderApprox).ForceInc()
 			if meta != nil {
 				meta.ladderLevel = LadderApprox
 			}
@@ -795,8 +794,7 @@ func (s *Service) finishStale(tenantName string, meta *requestMeta, resp TopKRes
 	resp.Access = AccessSummary{}
 	resp.Ladder = &LadderInfo{Level: LadderStale, AgeMs: age.Milliseconds(), Reason: reason}
 	resp.ElapsedNs = time.Since(start).Nanoseconds()
-	s.ladderStale.Add(1)
-	s.mDegradedAns.With(tenantName, LadderStale).Inc()
+	s.mDegradedAns.With(tenantName, LadderStale).ForceInc()
 	if meta != nil {
 		meta.ladderLevel = LadderStale
 	}
@@ -860,20 +858,10 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 	meta := metaFrom(r.Context())
 	d := t.cachedDistance(s.cache, id, base, meta)
 
-	actx, adm := telemetry.Start(r.Context(), "admission")
-	release, astate, admErr := s.admitQuery(actx, t.name)
-	if astate.queued {
-		adm.SetAttr("queued", 1)
-		adm.SetAttr("queue_pos", int64(astate.queuePos))
+	release, apiErr := s.admitQuery(r.Context(), t.name)
+	if apiErr != nil {
+		return nil, apiErr
 	}
-	if admErr != nil {
-		_, shsp := telemetry.Start(actx, "overload.shed")
-		shsp.SetAttr("status", int64(admErr.status))
-		shsp.End()
-		adm.End()
-		return nil, admErr
-	}
-	adm.End()
 	defer release()
 
 	start := time.Now()
@@ -984,8 +972,8 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 			eng.End()
 			return nil, apiErr
 		}
-		s.mRobust.With(t.name, string(robustMode)).Inc()
-		s.mRobustTrim.With(t.name).Add(int64(len(rres.Trimmed)))
+		s.mRobust.With(t.name, string(robustMode)).ForceInc()
+		s.mRobustTrim.With(t.name).ForceAdd(int64(len(rres.Trimmed)))
 		resp.Robust = &RobustResult{
 			Mode:        string(robustMode),
 			Trim:        req.Robust.Trim,
@@ -1009,26 +997,33 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 	return resp, nil
 }
 
+// handleStats renders the /stats snapshot. Every tally in it is derived from
+// the service's metric families, so /stats and /metrics cannot disagree.
 func (s *Service) handleStats(_ http.ResponseWriter, _ *http.Request) (any, *apiError) {
+	shed := sumBy(s.mShed, 1)
+	answers := sumBy(s.mDegradedAns, 1)
+	var degraded int64
+	s.mDegraded.Each(func(_ []string, c *telemetry.Counter) { degraded += c.Value() })
+	endpoints, latency := s.endpointStats()
 	tenants := s.tenantsSnapshot()
 	resp := StatsResponse{
 		UptimeNs:        time.Since(s.start).Nanoseconds(),
 		Tenants:         make([]TenantStats, 0, len(tenants)),
-		DegradedQueries: s.degraded.Load(),
+		DegradedQueries: degraded,
 		Overload: OverloadStats{
-			ShedRateLimit: s.shedRate.Load(),
-			ShedQueueFull: s.shedQueue.Load(),
-			ShedDeadline:  s.shedDeadline.Load(),
-			ShedDraining:  s.shedDraining.Load(),
-			ApproxAnswers: s.ladderApprox.Load(),
-			StaleAnswers:  s.ladderStale.Load(),
+			ShedRateLimit: shed[ShedRateLimit],
+			ShedQueueFull: shed[ShedQueueFull],
+			ShedDeadline:  shed[ShedDeadline],
+			ShedDraining:  shed[ShedDraining],
+			ApproxAnswers: answers[LadderApprox],
+			StaleAnswers:  answers[LadderStale],
 			QueueDepth:    s.adm.queueLen(),
 			Inflight:      s.adm.inflight(),
 			EngineEwmaNs:  int64(s.adm.estimateNs()),
 		},
-		Endpoints: make(map[string]EndpointStats, len(s.endpoints)),
+		Endpoints: endpoints,
 		Telemetry: telemetry.Default.Snapshot(),
-		Server:    s.reg.Snapshot(),
+		Server:    telemetry.Snapshot{Counters: map[string]int64{}, Histograms: latency},
 	}
 	for _, t := range tenants {
 		hits, misses := t.cacheHits.Load(), t.cacheMisses.Load()
@@ -1049,17 +1044,51 @@ func (s *Service) handleStats(_ http.ResponseWriter, _ *http.Request) (any, *api
 	sortTenantStats(resp.Tenants)
 	cs := s.cache.Stats()
 	resp.Cache = CacheStats{Stats: cs, HitRate: cs.HitRate()}
-	for name, es := range s.endpoints {
-		hist := s.reg.Histogram("http." + name + ".latency_ns")
-		resp.Endpoints[name] = EndpointStats{
-			Requests: es.requests.Load(),
-			Errors:   es.errors.Load(),
-			P50Ns:    hist.Quantile(0.50),
-			P95Ns:    hist.Quantile(0.95),
-			P99Ns:    hist.Quantile(0.99),
+	return resp, nil
+}
+
+// endpointStats returns one row per API endpoint, with rankserve_requests_total
+// summed over tenants and statuses, and the endpoints' latency histograms
+// merged across tenants: their percentiles go in the rows, their snapshots
+// under http.<op>.latency_ns.
+func (s *Service) endpointStats() (map[string]EndpointStats, map[string]telemetry.HistogramSnapshot) {
+	rows := make(map[string]EndpointStats, len(s.ops))
+	for _, op := range s.ops {
+		rows[op] = EndpointStats{}
+	}
+	s.mRequests.Each(func(v []string, c *telemetry.Counter) {
+		row := rows[v[1]]
+		row.Requests += c.Value()
+		if v[2] != "200" {
+			row.Errors += c.Value()
+		}
+		rows[v[1]] = row
+	})
+	merged := make(map[string]*telemetry.Histogram)
+	s.mLatency.Each(func(v []string, h *telemetry.Histogram) {
+		if merged[v[1]] == nil {
+			merged[v[1]] = new(telemetry.Histogram)
+		}
+		merged[v[1]].Merge(h)
+	})
+	latency := make(map[string]telemetry.HistogramSnapshot, len(merged))
+	for op, h := range merged {
+		row := rows[op]
+		row.P50Ns, row.P95Ns, row.P99Ns = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		rows[op] = row
+		if hs := h.Snapshot(); hs.Count != 0 {
+			latency["http."+op+".latency_ns"] = hs
 		}
 	}
-	return resp, nil
+	return rows, latency
+}
+
+// sumBy totals a counter family's series grouped by the value of one label,
+// given by its index among the family's keys.
+func sumBy(v telemetry.CounterVec, key int) map[string]int64 {
+	out := make(map[string]int64)
+	v.Each(func(values []string, c *telemetry.Counter) { out[values[key]] += c.Value() })
+	return out
 }
 
 // sortTenantStats orders tenant rows by name for deterministic snapshots.

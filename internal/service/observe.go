@@ -125,16 +125,13 @@ func tenantLabel(r *http.Request) string {
 }
 
 // instrument wraps an apiHandler with the service's per-request plumbing:
-// body cap, trace identity + sampling + root span, labeled metrics, latency
-// histograms (both the unlabeled service registry and the per-tenant labeled
-// family), always-on request/error tallies, the access log, and uniform JSON
-// rendering.
+// body cap, trace identity + sampling + root span, the request's one record
+// in the labeled families (status count, latency, accesses, cache traffic,
+// degradation), the access log, and uniform JSON rendering. A request is
+// counted when it finishes.
 func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
-	hist := s.reg.Histogram("http." + op + ".latency_ns")
-	stats := s.endpoints[op]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		stats.requests.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 		if r.Body != nil {
@@ -180,23 +177,22 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 
 		elapsed := time.Since(start).Nanoseconds()
 		tenant := tenantLabel(r)
-		hist.Observe(elapsed)
-		s.mRequests.With(tenant, op, strconv.Itoa(status)).Inc()
+		s.mRequests.With(tenant, op, strconv.Itoa(status)).ForceInc()
 		s.mLatency.With(tenant, op).Observe(elapsed)
 		if meta.access.Sequential > 0 {
-			s.mSequential.With(tenant).Add(int64(meta.access.Sequential))
+			s.mSequential.With(tenant).ForceAdd(int64(meta.access.Sequential))
 		}
 		if meta.access.Random > 0 {
-			s.mRandom.With(tenant).Add(int64(meta.access.Random))
+			s.mRandom.With(tenant).ForceAdd(int64(meta.access.Random))
 		}
 		if hits := meta.cacheHits.Load(); hits > 0 {
-			s.mCacheHits.With(tenant).Add(hits)
+			s.mCacheHits.With(tenant).ForceAdd(hits)
 		}
 		if misses := meta.cacheMisses.Load(); misses > 0 {
-			s.mCacheMisses.With(tenant).Add(misses)
+			s.mCacheMisses.With(tenant).ForceAdd(misses)
 		}
 		if meta.degraded {
-			s.mDegraded.With(tenant).Inc()
+			s.mDegraded.With(tenant).ForceInc()
 		}
 		telemetry.FinishTrace(tctx, telemetry.TraceMeta{Tenant: tenant, Endpoint: op, Status: status})
 		s.logAccess(accessLogLine{
@@ -219,7 +215,6 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 		})
 
 		if apiErr != nil {
-			stats.errors.Add(1)
 			resp := ErrorResponse{
 				Error:   apiErr.msg,
 				Defects: apiErr.defects,
@@ -243,16 +238,12 @@ func (s *Service) instrument(op string, h apiHandler) http.HandlerFunc {
 }
 
 // handleMetrics renders the Prometheus text exposition: the service's
-// labeled families first, then the service registry's per-endpoint
-// instruments under rankserve_server_*, then the process-wide default
-// registry under rankties_*. The three prefixes cannot collide, so every
-// family appears exactly once per scrape.
+// rankserve_* families first, then the process-wide default registry under
+// rankties_*. The two prefixes cannot collide, so every family appears
+// exactly once per scrape.
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.labeled.WritePrometheus(w); err != nil {
-		return
-	}
-	if err := s.reg.WritePrometheus(w, "rankserve_server_"); err != nil {
+	if err := s.reg.WritePrometheus(w, ""); err != nil {
 		return
 	}
 	telemetry.Default.WritePrometheus(w, "rankties_") //nolint:errcheck // client gone

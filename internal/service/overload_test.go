@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,8 +96,18 @@ func TestMaxDeadlineCapsClientBudget(t *testing.T) {
 	}
 }
 
+// statsOf fetches and decodes the /stats snapshot.
+func statsOf(t *testing.T, ts *httptest.Server) StatsResponse {
+	t.Helper()
+	status, b := doReq(t, http.MethodGet, ts.URL+"/stats", "")
+	if status != http.StatusOK {
+		t.Fatalf("/stats = %d: %s", status, b)
+	}
+	return decode[StatsResponse](t, b)
+}
+
 func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
-	svc, ts := testServer(t, Config{RatePerSec: 0.5, RateBurst: 1})
+	_, ts := testServer(t, Config{RatePerSec: 0.5, RateBurst: 1})
 	putCatalog(t, ts, "acme", "movies", corpus, "")
 	url := ts.URL + "/v1/tenants/acme/catalogs/movies/topk"
 
@@ -119,8 +130,8 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 	if !strings.Contains(er.Error, "rate") {
 		t.Errorf("error %q does not mention the rate limit", er.Error)
 	}
-	if got := svc.shedRate.Load(); got != 1 {
-		t.Errorf("shedRate = %d, want 1", got)
+	if got := statsOf(t, ts).Overload.ShedRateLimit; got != 1 {
+		t.Errorf("shed_rate_limit = %d, want 1", got)
 	}
 
 	// Rate limiting is per tenant: another tenant is untouched.
@@ -171,8 +182,8 @@ func TestQueueFullShedsAndLIFOServes(t *testing.T) {
 	if hdr.Get("Retry-After") == "" {
 		t.Error("queue_full shed missing Retry-After header")
 	}
-	if got := svc.shedQueue.Load(); got != 1 {
-		t.Errorf("shedQueue = %d, want 1", got)
+	if got := statsOf(t, ts).Overload.ShedQueueFull; got != 1 {
+		t.Errorf("shed_queue_full = %d, want 1", got)
 	}
 
 	// Both the parked and the queued request must complete once the slot
@@ -361,8 +372,8 @@ func TestLadderStaleServesCachedAnswer(t *testing.T) {
 	if resp.TopK != fresh.TopK || fmt.Sprint(resp.Winners) != fmt.Sprint(fresh.Winners) {
 		t.Errorf("stale answer differs from the primed one: %+v vs %+v", resp, fresh)
 	}
-	if got := svc.ladderStale.Load(); got != 1 {
-		t.Errorf("ladderStale = %d, want 1", got)
+	if got := statsOf(t, ts).Overload.StaleAnswers; got != 1 {
+		t.Errorf("stale_answers = %d, want 1", got)
 	}
 
 	// A catalog replacement invalidates the stored answer; with no stale
@@ -401,8 +412,8 @@ func TestLadderApproxUnderModerateBudget(t *testing.T) {
 	if resp.Ladder.Certificate == nil || resp.Ladder.Theta <= 0 {
 		t.Errorf("approx ladder missing certificate/theta: %+v", resp.Ladder)
 	}
-	if got := svc.ladderApprox.Load(); got < 1 {
-		t.Errorf("ladderApprox = %d, want >= 1", got)
+	if got := statsOf(t, ts).Overload.ApproxAnswers; got < 1 {
+		t.Errorf("approx_answers = %d, want >= 1", got)
 	}
 }
 
@@ -523,11 +534,12 @@ func TestDrainUnderSaturation(t *testing.T) {
 
 	// The books: one queue_full shed pre-drain, three draining sheds (two
 	// queued waiters aborted + one refused arrival).
-	if got := svc.shedQueue.Load(); got != 1 {
-		t.Errorf("shedQueue = %d, want 1", got)
+	overload := statsOf(t, ts).Overload
+	if got := overload.ShedQueueFull; got != 1 {
+		t.Errorf("shed_queue_full = %d, want 1", got)
 	}
-	if got := svc.shedDraining.Load(); got != 3 {
-		t.Errorf("shedDraining = %d, want 3", got)
+	if got := overload.ShedDraining; got != 3 {
+		t.Errorf("shed_draining = %d, want 3", got)
 	}
 	// BeginDrain is idempotent.
 	svc.BeginDrain()

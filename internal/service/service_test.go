@@ -307,7 +307,7 @@ const deepCorpus = "a | b | c | d | e | f | g | h\n" +
 	"a | c | e | g | b | d | f | h\n"
 
 func TestResilientTopKWithChaosDegrades(t *testing.T) {
-	svc, ts := testServer(t, Config{})
+	_, ts := testServer(t, Config{})
 	putCatalog(t, ts, "acme", "movies", deepCorpus, "")
 	// With death_rate 0.1 under this seed, some lists die mid-query and some
 	// survive: the answer must be degraded but still well-formed, and
@@ -329,7 +329,7 @@ func TestResilientTopKWithChaosDegrades(t *testing.T) {
 			t.Errorf("degraded answer not deterministic: %v vs %v", resp.Winners, first.Winners)
 		}
 	}
-	if svc.degraded.Load() == 0 {
+	if statsOf(t, ts).DegradedQueries == 0 {
 		t.Error("service did not count the degraded queries")
 	}
 }

@@ -11,13 +11,13 @@ import (
 // Labeled instruments: one metric family ("rankserve_requests_total") fanning
 // out into series distinguished by label values ({tenant="acme",
 // endpoint="topk", status="200"}). A vec owns its family's fixed label keys;
-// With(values...) get-or-creates the series for one value tuple. This is what
-// lets per-tenant series share one family instead of requiring one Registry
-// per tenant.
+// With(values...) get-or-creates the series for one value tuple, and a family
+// with no keys has exactly one series, With(). This is what lets per-tenant
+// series share one family instead of requiring one registry per tenant.
 //
-// Series creation takes a lock; the returned instruments are the same atomic
-// Counter/Gauge/Histogram types as the unlabeled registry, so hot paths that
-// cache the series pointer pay no lookup at all.
+// Series creation takes a lock; the returned instruments are plain atomic
+// Counter/Gauge/Histogram values, so hot paths that cache the series pointer
+// pay no lookup at all.
 
 // Gauge is a settable instrument (current value, not monotone). Unlike
 // Counter it is NOT gated on Enabled(): gauges track states (tenant count,
@@ -57,17 +57,14 @@ type series[T any] struct {
 	inst   *T
 }
 
-// vec is the shared shape of CounterVec/GaugeVec/HistogramVec.
+// vec is the shared shape of CounterVec/GaugeVec/HistogramVec: one family of
+// a Registry.
 type vec[T any] struct {
 	name   string
 	help   string
 	keys   []string
 	mu     sync.Mutex
 	series map[string]*series[T]
-}
-
-func newVec[T any](name, help string, keys []string) *vec[T] {
-	return &vec[T]{name: name, help: help, keys: keys, series: make(map[string]*series[T])}
 }
 
 func (v *vec[T]) with(values ...string) *T {
@@ -97,6 +94,15 @@ func (v *vec[T]) snapshot() []*series[T] {
 	return out
 }
 
+// Each calls f for every series of the family in label-value order, with the
+// series' label values (one per key, in key order; callers must not modify
+// them) and its instrument. Series created while Each runs may be missed.
+func (v *vec[T]) Each(f func(values []string, inst *T)) {
+	for _, s := range v.snapshot() {
+		f(s.values, s.inst)
+	}
+}
+
 // CounterVec is a counter family with fixed label keys.
 type CounterVec struct{ *vec[Counter] }
 
@@ -116,104 +122,3 @@ type HistogramVec struct{ *vec[Histogram] }
 // With returns the histogram for the given label values; see
 // CounterVec.With.
 func (v HistogramVec) With(values ...string) *Histogram { return v.with(values...) }
-
-// LabeledRegistry is a named collection of labeled instrument families,
-// get-or-create like Registry. Re-declaring a family with different label
-// keys panics: a family's schema is fixed for the life of the process, and a
-// silent second schema would corrupt the exposition.
-type LabeledRegistry struct {
-	mu       sync.Mutex
-	counters map[string]CounterVec
-	gauges   map[string]GaugeVec
-	hists    map[string]HistogramVec
-}
-
-// NewLabeledRegistry returns an empty labeled registry.
-func NewLabeledRegistry() *LabeledRegistry {
-	return &LabeledRegistry{
-		counters: make(map[string]CounterVec),
-		gauges:   make(map[string]GaugeVec),
-		hists:    make(map[string]HistogramVec),
-	}
-}
-
-func checkKeys(name string, have, want []string) {
-	if len(have) == len(want) {
-		same := true
-		for i := range have {
-			if have[i] != want[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-	}
-	panic(fmt.Sprintf("telemetry: family %s re-declared with keys %v (was %v)", name, want, have))
-}
-
-// CounterVec returns the registry's counter family with the given name,
-// creating it with the given help text and label keys on first use.
-func (r *LabeledRegistry) CounterVec(name, help string, keys ...string) CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counters[name]
-	if !ok {
-		v = CounterVec{newVec[Counter](name, help, append([]string(nil), keys...))}
-		r.counters[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
-}
-
-// GaugeVec returns the registry's gauge family with the given name; see
-// CounterVec.
-func (r *LabeledRegistry) GaugeVec(name, help string, keys ...string) GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	if !ok {
-		v = GaugeVec{newVec[Gauge](name, help, append([]string(nil), keys...))}
-		r.gauges[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
-}
-
-// HistogramVec returns the registry's histogram family with the given name;
-// see CounterVec.
-func (r *LabeledRegistry) HistogramVec(name, help string, keys ...string) HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.hists[name]
-	if !ok {
-		v = HistogramVec{newVec[Histogram](name, help, append([]string(nil), keys...))}
-		r.hists[name] = v
-		return v
-	}
-	checkKeys(name, v.keys, keys)
-	return v
-}
-
-// familyNames returns the sorted names of every family of one kind, for
-// deterministic exposition order.
-func (r *LabeledRegistry) familyNames() (counters, gauges, hists []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for n := range r.counters {
-		counters = append(counters, n)
-	}
-	for n := range r.gauges {
-		gauges = append(gauges, n)
-	}
-	for n := range r.hists {
-		hists = append(hists, n)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(hists)
-	return
-}

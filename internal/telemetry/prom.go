@@ -3,11 +3,10 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) for both registries.
+// Prometheus text exposition (format version 0.0.4) of a Registry.
 //
 // Mapping for base-2 histograms: internal bucket i holds observations v with
 // bits.Len64(v) == i, i.e. the half-open range [2^(i-1), 2^i). Prometheus
@@ -67,12 +66,11 @@ func escapeLabelValue(s string) string {
 }
 
 // formatLabels renders {k1="v1",k2="v2"} (empty string for no labels).
-func formatLabels(keys, values []string) string {
-	if len(keys) == 0 {
-		return ""
-	}
+func formatLabels(keys, values []string) string { return braceOrEmpty(labelPairs(keys, values)) }
+
+// labelPairs renders k1="v1",k2="v2" without braces.
+func labelPairs(keys, values []string) string {
 	var b strings.Builder
-	b.WriteByte('{')
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(',')
@@ -82,7 +80,6 @@ func formatLabels(keys, values []string) string {
 		b.WriteString(escapeLabelValue(values[i]))
 		b.WriteByte('"')
 	}
-	b.WriteByte('}')
 	return b.String()
 }
 
@@ -138,97 +135,57 @@ func braceOrEmpty(labels string) string {
 	return "{" + labels + "}"
 }
 
-// WritePrometheus renders every instrument in the registry as an unlabeled
-// family named prefix + sanitized instrument name: counters as `counter`,
-// histograms as `histogram` with the base-2 bucket mapping described above.
-// Families are emitted in sorted name order.
+// WritePrometheus renders every family in the registry, each named prefix +
+// its sanitized name: counters, then gauges, then histograms (with the
+// base-2 bucket mapping described above), each kind in sorted name order and
+// each family's series sorted by label values. A family declared without help
+// text — an unlabeled Counter or Histogram — gets a HELP line naming the
+// instrument.
 func (r *Registry) WritePrometheus(w io.Writer, prefix string) error {
 	r.mu.Lock()
-	counterNames := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		counterNames = append(counterNames, n)
-	}
-	histNames := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		histNames = append(histNames, n)
-	}
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
+	counters, gauges, hists := sortedFamilies(r.counters), sortedFamilies(r.gauges), sortedFamilies(r.hists)
 	r.mu.Unlock()
-	sort.Strings(counterNames)
-	sort.Strings(histNames)
-
-	for _, n := range counterNames {
-		pn := promName(prefix + n)
-		if _, err := fmt.Fprintf(w, "# HELP %s Counter %q.\n# TYPE %s counter\n%s %d\n",
-			pn, n, pn, pn, counters[n].Value()); err != nil {
+	for _, v := range counters {
+		if err := writeFamily(w, prefix, "counter", "Counter %q.", v, func(name, labels string, c *Counter) error {
+			_, err := fmt.Fprintf(w, "%s%s %d\n", name, braceOrEmpty(labels), c.Value())
+			return err
+		}); err != nil {
 			return err
 		}
 	}
-	for _, n := range histNames {
-		pn := promName(prefix + n)
-		if _, err := fmt.Fprintf(w, "# HELP %s Base-2 histogram %q (ns or units).\n# TYPE %s histogram\n", pn, n, pn); err != nil {
+	for _, v := range gauges {
+		if err := writeFamily(w, prefix, "gauge", "Gauge %q.", v, func(name, labels string, g *Gauge) error {
+			_, err := fmt.Fprintf(w, "%s%s %d\n", name, braceOrEmpty(labels), g.Value())
+			return err
+		}); err != nil {
 			return err
 		}
-		if err := writePromHistogram(w, pn, "", hists[n]); err != nil {
+	}
+	for _, v := range hists {
+		if err := writeFamily(w, prefix, "histogram", "Base-2 histogram %q (ns or units).", v, func(name, labels string, h *Histogram) error {
+			return writePromHistogram(w, name, labels, h)
+		}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WritePrometheus renders every labeled family in the registry: counters,
-// then gauges, then histograms, each family's series sorted by label values.
-func (r *LabeledRegistry) WritePrometheus(w io.Writer) error {
-	counterNames, gaugeNames, histNames := r.familyNames()
-
-	for _, n := range counterNames {
-		r.mu.Lock()
-		v := r.counters[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", pn, v.help, pn); err != nil {
-			return err
-		}
-		for _, s := range v.snapshot() {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, formatLabels(v.keys, s.values), s.inst.Value()); err != nil {
-				return err
-			}
-		}
+// writeFamily renders one family's HELP and TYPE lines, then each series
+// through sample, which gets the metric name and the label pairs without
+// braces.
+func writeFamily[T any](w io.Writer, prefix, typ, defaultHelp string, v *vec[T], sample func(name, labels string, inst *T) error) error {
+	pn := promName(prefix + v.name)
+	help := v.help
+	if help == "" {
+		help = fmt.Sprintf(defaultHelp, v.name)
 	}
-	for _, n := range gaugeNames {
-		r.mu.Lock()
-		v := r.gauges[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", pn, v.help, pn); err != nil {
-			return err
-		}
-		for _, s := range v.snapshot() {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, formatLabels(v.keys, s.values), s.inst.Value()); err != nil {
-				return err
-			}
-		}
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pn, help, pn, typ); err != nil {
+		return err
 	}
-	for _, n := range histNames {
-		r.mu.Lock()
-		v := r.hists[n]
-		r.mu.Unlock()
-		pn := promName(n)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", pn, v.help, pn); err != nil {
+	for _, s := range v.snapshot() {
+		if err := sample(pn, labelPairs(v.keys, s.values), s.inst); err != nil {
 			return err
-		}
-		for _, s := range v.snapshot() {
-			inner := strings.TrimSuffix(strings.TrimPrefix(formatLabels(v.keys, s.values), "{"), "}")
-			if err := writePromHistogram(w, pn, inner, s.inst); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -80,9 +80,9 @@ func TestRegistryWritePrometheusLintsClean(t *testing.T) {
 	})
 }
 
-func TestLabeledRegistryWritePrometheusLintsClean(t *testing.T) {
+func TestLabeledFamiliesWritePrometheusLintsClean(t *testing.T) {
 	withEnabled(t, func() {
-		lr := NewLabeledRegistry()
+		lr := NewRegistry()
 		req := lr.CounterVec("rankserve_requests_total", "Requests by tenant, endpoint, status.", "tenant", "endpoint", "status")
 		req.With("acme", "topk", "200").Add(3)
 		req.With("acme", "topk", "400").Add(1)
@@ -95,7 +95,7 @@ func TestLabeledRegistryWritePrometheusLintsClean(t *testing.T) {
 		lat.With("beta", "aggregate").Observe(5)
 
 		var b strings.Builder
-		if err := lr.WritePrometheus(&b); err != nil {
+		if err := lr.WritePrometheus(&b, ""); err != nil {
 			t.Fatal(err)
 		}
 		out := b.String()
@@ -197,7 +197,7 @@ h_count 4
 }
 
 func TestVecArityAndRedeclarePanics(t *testing.T) {
-	lr := NewLabeledRegistry()
+	lr := NewRegistry()
 	v := lr.CounterVec("x_total", "X.", "a", "b")
 	mustPanic(t, "arity", func() { v.With("only-one") })
 	mustPanic(t, "redeclare", func() { lr.CounterVec("x_total", "X.", "a") })

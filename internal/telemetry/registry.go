@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"expvar"
+	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,12 +14,8 @@ import (
 // on Enabled(), so a disabled counter costs one atomic load and never
 // allocates; reads always return whatever was recorded while enabled.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the counter's registry name.
-func (c *Counter) Name() string { return c.name }
 
 // Inc adds one when telemetry is enabled.
 func (c *Counter) Inc() {
@@ -33,10 +31,11 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// ForceInc adds one regardless of Enabled(). Reserve it for supervision
-// events — contained panics, dropped inputs — that operators must be able to
-// count after the fact even when tracing was off; ordinary hot-path
-// instruments stay gated so disabled telemetry stays free.
+// ForceInc adds one regardless of Enabled(). Reserve it for counts that
+// operators must be able to read after the fact even when tracing was off —
+// contained panics, dropped inputs, the service's request and overload
+// tallies; ordinary hot-path instruments stay gated so disabled telemetry
+// stays free.
 func (c *Counter) ForceInc() { c.v.Add(1) }
 
 // ForceAdd adds d regardless of Enabled(); see ForceInc.
@@ -54,15 +53,11 @@ const histBuckets = 65
 // observations (durations in nanoseconds, sizes, depths) with exponential
 // base-2 buckets. Like Counter, observations are gated on Enabled().
 type Histogram struct {
-	name    string
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records v when telemetry is enabled. Negative values clamp to 0.
 func (h *Histogram) Observe(v int64) {
@@ -78,6 +73,23 @@ func (h *Histogram) Observe(v int64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
+// Merge adds every observation recorded in o to h, regardless of Enabled():
+// it moves recorded state, it does not observe. Merging the series of a
+// labeled family yields the family's histogram across those labels.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	for m := o.max.Load(); ; {
+		cur := h.max.Load()
+		if m <= cur || h.max.CompareAndSwap(cur, m) {
 			return
 		}
 	}
@@ -142,20 +154,32 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of counters and histograms. Counter and
-// Histogram get-or-create by name, so independent packages can bind package
-// level instrument variables at init time and share the process-wide view.
+// Registry is a named collection of instrument families. A family is a
+// counter, gauge, or histogram name with fixed label keys; each tuple of label
+// values is one series of it (see CounterVec). An unlabeled instrument is a
+// family with zero label keys and its single series, so the process-wide
+// "topk.medrank.runs" counter and the service's
+// rankserve_requests_total{tenant,endpoint,status} family live in the same
+// type, snapshot the same way, and render through one WritePrometheus.
+//
+// Families are get-or-create by name, so independent packages can bind
+// package-level instrument variables at init time and share the process-wide
+// view. Re-declaring a family with different label keys panics: a family's
+// schema is fixed for the life of the process, and a silent second schema
+// would corrupt the exposition.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	counters map[string]*vec[Counter]
+	gauges   map[string]*vec[Gauge]
+	hists    map[string]*vec[Histogram]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
+		counters: make(map[string]*vec[Counter]),
+		gauges:   make(map[string]*vec[Gauge]),
+		hists:    make(map[string]*vec[Histogram]),
 	}
 }
 
@@ -163,31 +187,13 @@ func NewRegistry() *Registry {
 // Histogram helpers and by PublishExpvar.
 var Default = NewRegistry()
 
-// Counter returns the registry's counter with the given name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
-}
+// Counter returns the registry's unlabeled counter with the given name,
+// creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name, "").With() }
 
-// Histogram returns the registry's histogram with the given name, creating
-// it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{name: name}
-		r.hists[name] = h
-	}
-	return h
-}
+// Histogram returns the registry's unlabeled histogram with the given name,
+// creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram { return r.HistogramVec(name, "").With() }
 
 // GetCounter is Counter on the default registry.
 func GetCounter(name string) *Counter { return Default.Counter(name) }
@@ -195,9 +201,60 @@ func GetCounter(name string) *Counter { return Default.Counter(name) }
 // GetHistogram is Histogram on the default registry.
 func GetHistogram(name string) *Histogram { return Default.Histogram(name) }
 
+// CounterVec returns the registry's counter family with the given name,
+// creating it with the given help text and label keys on first use.
+func (r *Registry) CounterVec(name, help string, keys ...string) CounterVec {
+	return CounterVec{family(r, r.counters, name, help, keys)}
+}
+
+// GaugeVec returns the registry's gauge family with the given name; see
+// CounterVec.
+func (r *Registry) GaugeVec(name, help string, keys ...string) GaugeVec {
+	return GaugeVec{family(r, r.gauges, name, help, keys)}
+}
+
+// HistogramVec returns the registry's histogram family with the given name;
+// see CounterVec.
+func (r *Registry) HistogramVec(name, help string, keys ...string) HistogramVec {
+	return HistogramVec{family(r, r.hists, name, help, keys)}
+}
+
+// family get-or-creates the family name in m, one of r's maps. The help
+// text is kept from the first declaration; the label keys must match it.
+func family[T any](r *Registry, m map[string]*vec[T], name, help string, keys []string) *vec[T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = &vec[T]{name: name, help: help, keys: append([]string(nil), keys...), series: make(map[string]*series[T])}
+		m[name] = v
+		return v
+	}
+	if !slices.Equal(v.keys, keys) {
+		panic(fmt.Sprintf("telemetry: family %s re-declared with keys %v (was %v)", name, keys, v.keys))
+	}
+	return v
+}
+
+// sortedFamilies returns m's families in name order, for deterministic
+// snapshots and exposition. Caller holds the registry lock.
+func sortedFamilies[T any](m map[string]*vec[T]) []*vec[T] {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	out := make([]*vec[T], len(names))
+	for i, n := range names {
+		out[i] = m[n]
+	}
+	return out
+}
+
 // Snapshot is a point-in-time JSON-marshalable view of a registry: counter
 // values and histogram summaries keyed by name, zero-valued instruments
-// omitted for compactness.
+// omitted for compactness. A labeled series is keyed by its family name and
+// label set as the exposition renders them (name{k="v"}).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
@@ -206,30 +263,38 @@ type Snapshot struct {
 // Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	counters, hists := sortedFamilies(r.counters), sortedFamilies(r.hists)
+	r.mu.Unlock()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters:   make(map[string]int64, len(counters)),
+		Histograms: make(map[string]HistogramSnapshot, len(hists)),
 	}
-	for name, c := range r.counters {
-		if v := c.Value(); v != 0 {
-			s.Counters[name] = v
-		}
+	for _, v := range counters {
+		v.Each(func(values []string, c *Counter) {
+			if x := c.Value(); x != 0 {
+				s.Counters[v.name+formatLabels(v.keys, values)] = x
+			}
+		})
 	}
-	for name, h := range r.hists {
-		if hs := h.Snapshot(); hs.Count != 0 {
-			s.Histograms[name] = hs
-		}
+	for _, v := range hists {
+		v.Each(func(values []string, h *Histogram) {
+			if hs := h.Snapshot(); hs.Count != 0 {
+				s.Histograms[v.name+formatLabels(v.keys, values)] = hs
+			}
+		})
 	}
 	return s
 }
 
-// Names returns the sorted names of all registered instruments.
+// Names returns the sorted names of all registered families.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for n := range r.counters {
+		names = append(names, n)
+	}
+	for n := range r.gauges {
 		names = append(names, n)
 	}
 	for n := range r.hists {
@@ -239,70 +304,43 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Reset zeroes every instrument in the registry. Intended for tests and for
-// per-run stats in command-line tools; instruments stay registered so bound
-// package variables remain valid.
+// Reset zeroes every counter and histogram series in the registry. Intended
+// for tests and for per-run stats in command-line tools; instruments stay
+// registered so bound package variables remain valid. Gauges track live
+// state (tenant count, queue depth) and are left alone.
 func (r *Registry) Reset() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
+	counters, hists := sortedFamilies(r.counters), sortedFamilies(r.hists)
+	r.mu.Unlock()
+	for _, v := range counters {
+		v.Each(func(_ []string, c *Counter) { c.v.Store(0) })
 	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
+	for _, v := range hists {
+		v.Each(func(_ []string, h *Histogram) {
+			h.count.Store(0)
+			h.sum.Store(0)
+			h.max.Store(0)
+			for i := range h.buckets {
+				h.buckets[i].Store(0)
+			}
+		})
 	}
 }
 
-// expvar publication bookkeeping. expvar.Publish panics on a duplicate name
-// and has no unpublish, so each name is claimed at most once per process;
-// the map records which names this package has already published.
-var (
-	expvarMu    sync.Mutex
-	expvarNames = map[string]bool{}
-)
+var publishOnce sync.Once
 
-// PublishExpvar publishes the default registry (and the trace ring buffer)
-// under the expvar name "rankties", so any net/http server with the expvar
-// handler mounted exposes the live snapshot at /debug/vars. Safe to call
-// more than once; only the first call publishes.
-func PublishExpvar() { PublishExpvarNamed("rankties", Default) }
-
-// PublishExpvarNamed publishes a registry under an arbitrary expvar name, so
-// components with their own registries coexist at /debug/vars instead of
-// colliding on the one "rankties" slot: the convention is
-// "rankties.<component>" (e.g. "rankties.server" for rankserve's
-// endpoint-latency registry) next to the CLI-historical "rankties" for the
-// process-wide Default.
-//
-// Constraint: expvar names are process-global and cannot be unpublished, so
-// the first publication under a name wins for the life of the process —
-// repeat calls with the same name are no-ops regardless of which registry
-// they carry. The trace ring buffer is likewise global and is therefore
-// attached only to the Default registry's publications.
-func PublishExpvarNamed(name string, r *Registry) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvarNames[name] {
-		return
-	}
-	expvarNames[name] = true
-	if r == Default {
-		expvar.Publish(name, expvar.Func(func() any {
+// PublishExpvar publishes the default registry's snapshot and the trace ring
+// buffer under the expvar name "rankties", so any net/http server with the
+// expvar handler mounted exposes them at /debug/vars. expvar names are
+// process-global and cannot be unpublished, so only the first call
+// publishes; later calls are no-ops.
+func PublishExpvar() {
+	publishOnce.Do(func() {
+		expvar.Publish("rankties", expvar.Func(func() any {
 			return struct {
 				Telemetry Snapshot `json:"telemetry"`
 				Trace     []Event  `json:"trace"`
 			}{Default.Snapshot(), TraceEvents()}
 		}))
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		return struct {
-			Telemetry Snapshot `json:"telemetry"`
-		}{r.Snapshot()}
-	}))
+	})
 }

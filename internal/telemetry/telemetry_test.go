@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -194,5 +196,58 @@ func TestCounterZeroAllocsDisabled(t *testing.T) {
 		h.Observe(17)
 	}); allocs != 0 {
 		t.Errorf("disabled instruments: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestUnlabeledAndLabeledShareOneRegistry checks the zero-label convention:
+// an unlabeled instrument is the single series of a family without keys, so
+// it snapshots and renders next to labeled families, and the series iterator
+// plus Merge recover a family's histogram across its labels.
+func TestUnlabeledAndLabeledShareOneRegistry(t *testing.T) {
+	r := NewRegistry()
+	if r.Counter("runs") != r.CounterVec("runs", "").With() {
+		t.Error("unlabeled counter is not the zero-label family's series")
+	}
+	lat := r.HistogramVec("lat_ns", "Latency.", "tenant")
+	withEnabled(t, func() {
+		r.Counter("runs").Add(2)
+		lat.With("a").Observe(3)
+		lat.With("a").Observe(100)
+		lat.With("b").Observe(7000)
+	})
+	s := r.Snapshot()
+	if s.Counters["runs"] != 2 || s.Histograms[`lat_ns{tenant="b"}`].Count != 1 {
+		t.Errorf("snapshot = %+v", s)
+	}
+
+	var merged Histogram
+	var tenants []string
+	lat.Each(func(values []string, h *Histogram) {
+		tenants = append(tenants, values[0])
+		merged.Merge(h)
+	})
+	if fmt.Sprint(tenants) != "[a b]" {
+		t.Errorf("Each visited %v, want [a b] in label order", tenants)
+	}
+	ms := merged.Snapshot()
+	if ms.Count != 3 || ms.Sum != 7103 || ms.Max != 7000 || ms.P50 != 3 {
+		t.Errorf("merged = %+v", ms)
+	}
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP runs Counter \"runs\".\n# TYPE runs counter\nruns 2\n",
+		"# HELP lat_ns Latency.\n# TYPE lat_ns histogram\n",
+		`lat_ns_count{tenant="b"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+	if probs := LintExposition(strings.NewReader(b.String())); len(probs) != 0 {
+		t.Errorf("lint problems: %v", probs)
 	}
 }
