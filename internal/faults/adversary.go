@@ -10,7 +10,7 @@ import (
 )
 
 // Adversarial voter injection: where Inject corrupts the ACCESS layer (a
-// list stalls, truncates, or dies), InjectVoters corrupts the INPUT layer —
+// list stalls, fails transiently, or dies), InjectVoters corrupts the INPUT layer —
 // it plants hostile rankings inside an otherwise honest ensemble, the way a
 // service taking rankings from millions of untrusted users actually gets
 // attacked. The injector is deterministic under its seed exactly like the

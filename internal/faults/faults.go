@@ -4,7 +4,7 @@
 // deterministic seed-driven fault injector and a bounded exponential-backoff
 // retrier — that turn an infallible in-memory list into the kind of external
 // middleware source the Fagin–Lotem–Naor model actually describes: one that
-// can stall, drop its tail, or die mid-query.
+// can stall, fail transiently, or die mid-query.
 //
 // The layering is strictly one-directional: engines (internal/topk,
 // internal/db) consume Source values; this package never imports them. The
@@ -51,7 +51,11 @@ type Entry struct {
 // concurrency-safe.
 type Source interface {
 	// Next returns the next entry of the sorted scan. ok is false with a nil
-	// error when the list is (or appears) exhausted.
+	// error only when the list is exhausted: every entry has been delivered.
+	// A source must not end its scan early. Engines read a scan's end as
+	// complete knowledge of the list, and a run whose surviving scans all
+	// end before its answer is certified fails rather than answer from part
+	// of the data.
 	Next(ctx context.Context) (Entry, bool, error)
 	// Peek2 returns the doubled position of the next unprobed entry — the
 	// frontier — or math.MaxInt64 when the scan is exhausted or the source is

@@ -158,29 +158,6 @@ func TestInjectTransientConsumesNoEntry(t *testing.T) {
 	}
 }
 
-func TestInjectTruncation(t *testing.T) {
-	src := Inject(newSliceSource(10, entries(10)...), Plan{TruncateAt: 4})
-	for i := 0; i < 4; i++ {
-		e, ok, err := src.Next(context.Background())
-		if err != nil || !ok {
-			t.Fatalf("access %d: ok=%v err=%v", i, ok, err)
-		}
-		if e.Elem != i {
-			t.Fatalf("access %d returned elem %d", i, e.Elem)
-		}
-	}
-	if _, ok, err := src.Next(context.Background()); ok || err != nil {
-		t.Fatalf("truncated source did not end cleanly: ok=%v err=%v", ok, err)
-	}
-	if src.Peek2() != math.MaxInt64 {
-		t.Error("truncated source's frontier not MaxInt64")
-	}
-	// Random access still works past the truncation point.
-	if v, err := src.Pos2(context.Background(), 9); err != nil || v != 18 {
-		t.Errorf("Pos2(9) = %d, %v; want 18, nil", v, err)
-	}
-}
-
 func TestInjectDeathAfter(t *testing.T) {
 	src := Inject(newSliceSource(10, entries(10)...), Plan{DeathAfter: 3})
 	for i := 0; i < 3; i++ {

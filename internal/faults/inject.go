@@ -32,10 +32,6 @@ type Plan struct {
 	// accesses (sequential plus random) have succeeded — the deterministic
 	// "kill list i mid-query" knob of the chaos tests.
 	DeathAfter int
-	// TruncateAt, when positive, makes the sorted scan end cleanly after
-	// this many entries: the tail of the list is silently dropped, the way
-	// a source that caps its response size behaves.
-	TruncateAt int
 	// Latency is a fixed wait injected before every access, served through
 	// Sleeper so deadlines interrupt it.
 	Latency time.Duration
@@ -57,11 +53,10 @@ type injectedSource struct {
 	// consistent with the accesses they bill. Single-goroutine runs draw the
 	// exact same RNG sequence as before: the lock changes when state may be
 	// touched, never the order it is touched in.
-	mu        sync.Mutex
-	rng       *rand.Rand
-	served    int // successful accesses, sequential + random
-	seqServed int // successful sequential accesses (for truncation)
-	dead      bool
+	mu     sync.Mutex
+	rng    *rand.Rand
+	served int // successful accesses, sequential + random
+	dead   bool
 }
 
 // Inject wraps src with the deterministic fault plan. A transient failure
@@ -139,16 +134,11 @@ func (s *injectedSource) Next(ctx context.Context) (Entry, bool, error) {
 		return Entry{}, false, err
 	}
 	defer s.mu.Unlock()
-	if s.plan.TruncateAt > 0 && s.seqServed >= s.plan.TruncateAt {
-		return Entry{}, false, nil
-	}
 	e, ok, err := s.src.Next(ctx)
-	if err != nil || !ok {
-		return e, ok, err
+	if err == nil && ok {
+		s.served++
 	}
-	s.served++
-	s.seqServed++
-	return e, true, nil
+	return e, ok, err
 }
 
 func (s *injectedSource) Pos2(ctx context.Context, elem int) (int64, error) {
@@ -168,7 +158,7 @@ func (s *injectedSource) Peek2() int64 {
 	// the layer that makes an unsynchronized inner source shareable.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead || (s.plan.TruncateAt > 0 && s.seqServed >= s.plan.TruncateAt) {
+	if s.dead {
 		return math.MaxInt64
 	}
 	return s.src.Peek2()

@@ -199,34 +199,6 @@ func TestMedRankOverRetryExhaustionKillsList(t *testing.T) {
 	}
 }
 
-func TestMedRankOverTruncatedListNoDeath(t *testing.T) {
-	in := chaosEnsemble(t, 200, 5)
-	run := func() *Result {
-		acc := telemetry.NewAccessAccountant(len(in))
-		srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
-			if i != 1 {
-				return s
-			}
-			return faults.Inject(s, faults.Plan{TruncateAt: 30})
-		})
-		res, err := MedRankOver(context.Background(), srcs, 5, RoundRobin, acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Degraded != nil {
-		t.Fatal("a truncated list is not a dead list")
-	}
-	if len(a.Winners) != 5 {
-		t.Fatalf("got %d winners, want 5", len(a.Winners))
-	}
-	if !reflect.DeepEqual(a.Winners, b.Winners) || !reflect.DeepEqual(a.Medians2, b.Medians2) {
-		t.Fatal("truncated runs not deterministic")
-	}
-}
-
 func TestMedRankOverAllListsDead(t *testing.T) {
 	in := chaosEnsemble(t, 100, 3)
 	acc := telemetry.NewAccessAccountant(len(in))
@@ -346,75 +318,6 @@ func TestThresholdTopKOverDeathDeterministic(t *testing.T) {
 	}
 }
 
-func TestThresholdTopKOverTruncatedResolvesByRandomAccess(t *testing.T) {
-	in := chaosEnsemble(t, 200, 5)
-	// Truncating a scan hides elements from discovery but not from random
-	// access, so TA's answer must still equal the full-scan reference. With
-	// k = n the scans end before k elements are discovered, and the run
-	// resolves the rest by identity.
-	for _, k := range []int{5, 200} {
-		acc := telemetry.NewAccessAccountant(len(in))
-		srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
-			return faults.Inject(s, faults.Plan{TruncateAt: 10})
-		})
-		got, err := ThresholdTopKOver(context.Background(), srcs, k, acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Degraded != nil {
-			t.Fatal("truncation reported as death")
-		}
-		checkReference(t, in, Spec{Algo: AlgoTA, K: k}, got)
-	}
-}
-
-// TestMedRankOverAllTruncatedFinalizes drives MEDRANK to its exhaustion exit:
-// every scan ends after a few entries, so the run cannot certify and must
-// finalize by the missing-positions-are-infinite convention — an element
-// seen in at least (m+1)/2 lists ranks by the lower median of its seen
-// positions, every other element after them by ID.
-func TestMedRankOverAllTruncatedFinalizes(t *testing.T) {
-	const n, m, cut = 60, 5, 4
-	in := chaosEnsemble(t, n, m)
-	needed := (m + 1) / 2
-	seen := make([][]int64, n)
-	for _, r := range in {
-		src := NewListSource(r, telemetry.NewAccessAccountant(1), 0)
-		for i := 0; i < cut; i++ {
-			e, _, _ := src.Next(context.Background())
-			seen[e.Elem] = append(seen[e.Elem], e.Pos2)
-		}
-	}
-	want := make([]int64, n)
-	for e, s := range seen {
-		want[e] = math.MaxInt64 - 1
-		if len(s) >= needed {
-			want[e] = kthSmallest(s, needed)
-		}
-	}
-	for _, pol := range []Policy{GlobalMerge, RoundRobin} {
-		acc := telemetry.NewAccessAccountant(m)
-		srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
-			return faults.Inject(s, faults.Plan{TruncateAt: cut})
-		})
-		got, err := MedRankOver(context.Background(), srcs, n, pol, acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.Total != m*cut {
-			t.Errorf("policy %d: read %d entries, want every list's %d", pol, got.Stats.Total, cut)
-		}
-		if ref := referenceTopK(want, n); !reflect.DeepEqual(got.Winners, ref) {
-			t.Fatalf("policy %d: winners %v, want %v", pol, got.Winners, ref)
-		}
-		for i, w := range got.Winners {
-			if got.Medians2[i] != want[w] {
-				t.Fatalf("policy %d: median2 of %d is %d, want %d", pol, w, got.Medians2[i], want[w])
-			}
-		}
-	}
-}
-
 func TestMedRankOverValidation(t *testing.T) {
 	in := chaosEnsemble(t, 50, 3)
 	acc := telemetry.NewAccessAccountant(3)
@@ -434,5 +337,55 @@ func TestMedRankOverValidation(t *testing.T) {
 	res, err := MedRankOver(context.Background(), ListSources(in, acc, nil), 0, GlobalMerge, acc)
 	if err != nil || len(res.Winners) != 0 {
 		t.Errorf("k=0: res=%v err=%v", res, err)
+	}
+}
+
+// endingSource ends its sorted scan after cut entries while random access
+// still sees the whole list: a source that breaks the Source contract by
+// ending early.
+type endingSource struct {
+	faults.Source
+	left int
+}
+
+func (s *endingSource) Next(ctx context.Context) (Entry, bool, error) {
+	if s.left == 0 {
+		return Entry{}, false, nil
+	}
+	s.left--
+	return s.Source.Next(ctx)
+}
+
+func (s *endingSource) Peek2() int64 {
+	if s.left == 0 {
+		return math.MaxInt64
+	}
+	return s.Source.Peek2()
+}
+
+// TestEnginesFailWhenScansEndEarly checks that no engine answers from part
+// of the data: with every scan ended after a few entries, each one returns
+// ErrScanEnded instead of winners. k = n leaves nothing certifiable; for TA,
+// k = 2 also covers the threshold becoming infinite once the scans end,
+// which used to stop the run on whatever k elements it had resolved.
+func TestEnginesFailWhenScansEndEarly(t *testing.T) {
+	const n, m, cut = 60, 5, 4
+	in := chaosEnsemble(t, n, m)
+	for _, c := range guardSpecs {
+		for _, k := range []int{2, n} {
+			if k == 2 && c.spec.Algo != AlgoTA {
+				continue
+			}
+			spec := c.spec
+			spec.K = k
+			acc := telemetry.NewAccessAccountant(m)
+			srcs := ListSources(in, acc, func(_ int, s faults.Source) faults.Source {
+				return &endingSource{Source: s, left: cut}
+			})
+			res, err := Run(context.Background(), spec, srcs, acc)
+			if !errors.Is(err, ErrScanEnded) {
+				t.Errorf("%s k=%d: err = %v (result %+v), want ErrScanEnded", c.name, k, err, res)
+			}
+		}
 	}
 }

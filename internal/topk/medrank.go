@@ -331,7 +331,8 @@ func (f *medrankDriver) pick() int {
 }
 
 // drive loops probe-and-certify until the top k is certified over the
-// surviving lists, every survivor is exhausted, or the context ends.
+// surviving lists or the context ends. Exhausted complete lists leave every
+// element exact, which certifies, so scans that all end first are an error.
 func (f *medrankDriver) drive(ctx context.Context) error {
 	for it := 0; !f.run.certified(); it++ {
 		if it%ctxCheckStride == 0 {
@@ -341,8 +342,7 @@ func (f *medrankDriver) drive(ctx context.Context) error {
 		}
 		li := f.pick()
 		if li < 0 {
-			f.finalizePartial()
-			return nil
+			return ErrScanEnded
 		}
 		if err := f.probe(ctx, li); err != nil {
 			return err
@@ -402,30 +402,6 @@ func (f *medrankDriver) record(li, orig int, e Entry) {
 	f.bits[orig][e.Elem>>6] |= 1 << (uint(e.Elem) & 63)
 	f.run.frontier[li] = f.sources[orig].Peek2()
 	f.run.replay(e)
-}
-
-// finalizePartial promotes every remaining element once all surviving lists
-// are exhausted or truncated. Missing positions are treated as +infinity (an
-// element absent from a truncated tail ranks after everything observed), so
-// an element observed in at least `needed` surviving lists has an exact lower
-// median; one observed in fewer has a lower median of +infinity and is
-// promoted with a bottom-of-order sentinel so it can still fill out the top-k
-// list deterministically (by element ID, behind every known median). With
-// complete lists every element has all its positions seen and the result is
-// the exact aggregation.
-func (f *medrankDriver) finalizePartial() {
-	r := f.run
-	for e := 0; e < f.n; e++ {
-		if r.exactMed[e] != math.MaxInt64 {
-			continue
-		}
-		if len(r.seen[e]) >= r.needed {
-			r.promote(e, kthSmallest(r.seen[e], r.needed))
-		} else {
-			r.promote(e, math.MaxInt64-1)
-		}
-	}
-	r.pending = r.pending[:0]
 }
 
 func (f *medrankDriver) answer() *Result {

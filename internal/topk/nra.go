@@ -28,7 +28,7 @@ import (
 
 // nraInf is the sentinel for an unknown worst-case bound: strictly larger
 // than any real doubled position and than the bottom-of-order sentinel
-// (math.MaxInt64 - 1) used for under-observed elements on degraded runs.
+// (math.MaxInt64 - 1) finalTopK ranks under-observed elements by.
 const nraInf = int64(math.MaxInt64)
 
 // lexLT orders (value, element) pairs lexicographically — the tie-break every
@@ -268,13 +268,11 @@ func (c *nraCore) check() (done bool, blocker int) {
 	return done, blocker
 }
 
-// finalTopK extracts the answer: the k lexicographically smallest
-// (median-bound, id) pairs over every non-cleared element. At a certified
-// stop this is exactly the dominating set (everything else was cleared); at
-// exhaustion or truncation it matches MEDRANK's degraded convention —
-// elements observed in at least `needed` lists carry their exact survivor
-// median, under-observed elements carry the bottom-of-order sentinel and fill
-// the list by ID.
+// finalTopK extracts the answer at a certified stop: the k lexicographically
+// smallest (median-bound, id) pairs over every non-cleared element, which is
+// exactly the dominating set (everything else was cleared or never probed).
+// An element with no closed worst-case bound ranks by the bottom-of-order
+// sentinel, behind every winner.
 func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]int64) {
 	type cand struct {
 		e         int
@@ -412,11 +410,9 @@ func (f *caDriver) drive(ctx context.Context) error {
 			return err
 		}
 		if !progressed {
-			// Every survivor exhausted or truncated without a certificate:
-			// finalTopK promotes by the missing-positions-are-infinite
-			// convention, matching MEDRANK's degraded semantics. (With
-			// complete lists this is unreachable — full knowledge certifies.)
-			return nil
+			// Every survivor's scan ended without a certificate, which full
+			// knowledge of complete lists always gives.
+			return ErrScanEnded
 		}
 		f.sinceRA++
 	}

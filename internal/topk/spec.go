@@ -2,6 +2,7 @@ package topk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,6 +19,12 @@ const (
 	AlgoNRA     = "nra"
 	AlgoCA      = "ca"
 )
+
+// ErrScanEnded reports that every surviving list's sorted scan ended before
+// the run certified its answer. Over complete lists this cannot happen: once
+// every scan has ended, every position is known and the answer certifies. So
+// it means a source ended its scan early, and the run has no sound answer.
+var ErrScanEnded = errors.New("topk: every surviving sorted scan ended before the answer was certified")
 
 // DefaultCostRatio is the random:sequential access cost ratio cR/cS assumed
 // for a TA or CA run that sets none: random access an order of magnitude
