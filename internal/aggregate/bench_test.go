@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/metrics"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
 )
@@ -101,6 +103,39 @@ func BenchmarkKemenyOptimalDP(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := KemenyOptimalDP(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBestOfInputsDuplicates scores every input of a duplicate-heavy
+// ensemble (8 distinct Mallows rankings cloned out to 64 voters) as the
+// candidate consensus: serially, on parallel workers, and on parallel
+// workers through a distance cache that lives across iterations.
+func BenchmarkBestOfInputsDuplicates(b *testing.B) {
+	in := dupEnsemble(rand.New(rand.NewSource(42)), 1000, 8, 64)
+	b.Run("serial", func(b *testing.B) {
+		ws := metrics.NewWorkspace()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := BestOfInputsWith(ws, in, metrics.KProfWS); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, c := range []struct {
+		name string
+		d    metrics.DistanceWS
+	}{
+		{"parallel", metrics.KProfWS},
+		{"parallel_cached", metrics.CachedKProf(cache.New(0))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := BestOfInputsParallel(in, c.d); err != nil {
 					b.Fatal(err)
 				}
 			}

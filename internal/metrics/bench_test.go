@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
 )
@@ -108,6 +109,30 @@ func BenchmarkCountPairsAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("viaSort/maxBucket=%d", maxB), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := countPairsViaSort(a, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDistanceMatrixDuplicates sweeps a duplicate-heavy ensemble (8
+// distinct Mallows rankings cloned out to 64 voters) with and without the
+// distance cache. The cache lives across iterations, so after the first
+// sweep every pair is a hit; TestCachedMatrixMatchesUncached pins the counts.
+func BenchmarkDistanceMatrixDuplicates(b *testing.B) {
+	in := dupHeavyEnsemble(rand.New(rand.NewSource(42)), 1000, 8, 64)
+	for _, c := range []struct {
+		name string
+		d    DistanceWS
+	}{
+		{"uncached", KProfWS},
+		{"cached", CachedKProf(cache.New(0))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DistanceMatrixWith(in, c.d); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // dupHeavyEnsemble draws `distinct` Mallows voters and inflates them to m
@@ -26,8 +27,18 @@ func dupHeavyEnsemble(rng *rand.Rand, n, distinct, m int) []*ranking.PartialRank
 // Cached engines must be bit-for-bit identical to their uncached
 // counterparts across all four paper metrics, and repeat sweeps must be
 // served from the cache. Run under -race in CI: the matrix sweep probes one
-// shared cache from GOMAXPROCS workers.
+// shared cache from GOMAXPROCS workers. With telemetry on, the registry's
+// cache counters move by exactly the cache's own tallies.
 func TestCachedMatrixMatchesUncached(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	telHits := telemetry.GetCounter("cache.distance.hits")
+	telMisses := telemetry.GetCounter("cache.distance.misses")
 	rng := rand.New(rand.NewSource(41))
 	in := dupHeavyEnsemble(rng, 18, 4, 28)
 	cases := []struct {
@@ -48,6 +59,7 @@ func TestCachedMatrixMatchesUncached(t *testing.T) {
 			}
 			c := cache.New(4096)
 			d := tc.cached(c)
+			hits0, misses0 := telHits.Value(), telMisses.Value()
 			for pass := 0; pass < 2; pass++ {
 				got, err := DistanceMatrixWith(in, d)
 				if err != nil {
@@ -70,6 +82,9 @@ func TestCachedMatrixMatchesUncached(t *testing.T) {
 			// indices) = 10 distinct keys can ever miss; everything else must hit.
 			if st.Inserts > 10 {
 				t.Errorf("inserted %d values for <= 10 distinct pairs", st.Inserts)
+			}
+			if h, m := telHits.Value()-hits0, telMisses.Value()-misses0; h != st.Hits || m != st.Misses {
+				t.Errorf("telemetry counted %d hits, %d misses; cache counted %d, %d", h, m, st.Hits, st.Misses)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
 	"repro/internal/telemetry"
@@ -61,4 +62,109 @@ func BenchmarkMedRankFewValuedCatalog(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngines runs each engine over list sources on the allocation
+// ceilings' catalog (TestEngineAllocCeilings), telemetry off.
+func BenchmarkEngines(b *testing.B) {
+	setTelemetry(b, false)
+	in := engineShape()
+	for _, c := range engineSpecs {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := runSpec(in, c.spec, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEnginesUnderFaults prices the fault paths on the same catalog:
+// retries absorbing a 2 % transient failure rate, and list 0 dying on its
+// second access so the run rebuilds over the four survivors and finishes
+// degraded. Sources are stateful, so each run builds its own stack.
+func BenchmarkEnginesUnderFaults(b *testing.B) {
+	setTelemetry(b, false)
+	in := engineShape()
+	transient := func(int) *faults.Plan { return &faults.Plan{TransientRate: 0.02} }
+	killFirst := func(i int) *faults.Plan {
+		if i != 0 {
+			return nil
+		}
+		return &faults.Plan{DeathAfter: 1}
+	}
+	medrank := Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobin}
+	for _, c := range []struct {
+		name  string
+		spec  Spec
+		plan  func(i int) *faults.Plan
+		retry bool
+	}{
+		{"medrank_retry", medrank, transient, true},
+		{"medrank_degraded", medrank, killFirst, false},
+		{"nra_degraded", Spec{Algo: AlgoNRA, K: 10}, killFirst, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc := telemetry.NewAccessAccountant(len(in))
+				srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+					if p := c.plan(i); p != nil {
+						p.Seed, p.Sleeper = int64(i), &faults.FakeSleeper{}
+						s = faults.Inject(s, *p)
+					}
+					if c.retry {
+						pol := faults.DefaultRetryPolicy()
+						pol.Sleeper = &faults.FakeSleeper{}
+						s = faults.WithRetry(s, pol, acc, i)
+					}
+					return s
+				})
+				if _, err := Run(context.Background(), c.spec, srcs, acc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTracing runs MEDRANK three ways: telemetry disabled, enabled
+// inside an unsampled request (the path every production request takes;
+// TestUnsampledTracingAllocCeiling pins its allocations), and inside a
+// sampled request that collects the span tree.
+func BenchmarkTracing(b *testing.B) {
+	in := engineShape()
+	spec := Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobin}
+	run := func(b *testing.B, ctx context.Context) {
+		acc := telemetry.NewAccessAccountant(len(in))
+		if _, err := Run(ctx, spec, ListSources(in, acc, nil), acc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("disabled", func(b *testing.B) {
+		setTelemetry(b, false)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, context.Background())
+		}
+	})
+	b.Run("unsampled", func(b *testing.B) {
+		setTelemetry(b, true)
+		ctx := telemetry.WithTrace(context.Background(), 1, false)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, ctx)
+		}
+	})
+	b.Run("sampled", func(b *testing.B) {
+		setTelemetry(b, true)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx := telemetry.WithTrace(context.Background(), uint64(i+1), true)
+			run(b, ctx)
+			telemetry.FinishTrace(ctx, telemetry.TraceMeta{Endpoint: "bench"})
+		}
+	})
 }
