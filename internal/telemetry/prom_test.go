@@ -119,13 +119,15 @@ func TestLabeledFamiliesWritePrometheusLintsClean(t *testing.T) {
 		if !ok || count != 100 {
 			t.Fatalf("acme histogram: ok=%v count=%v", ok, count)
 		}
-		gotP50 := QuantileFromBuckets(buckets, 0.50)
-		wantP50 := float64(lat.With("acme", "topk").Quantile(0.50))
 		// Both are bucket upper edges; the scrape-side edge is the raw
 		// 2^i - 1 while the in-process one clamps to the observed max, so
-		// they agree except at the top bucket.
-		if gotP50 < wantP50 {
-			t.Errorf("scrape p50 %v < in-process p50 %v", gotP50, wantP50)
+		// they agree once the scrape edge is clamped the same way.
+		h := lat.With("acme", "topk")
+		for _, q := range []float64{0.50, 0.95, 0.99} {
+			got := math.Min(QuantileFromBuckets(buckets, q), float64(h.Snapshot().Max))
+			if want := float64(h.Quantile(q)); got != want {
+				t.Errorf("p%.0f: scrape %v, in-process %v", 100*q, got, want)
+			}
 		}
 	})
 }

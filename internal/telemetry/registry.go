@@ -3,6 +3,7 @@ package telemetry
 import (
 	"expvar"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -96,8 +97,9 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // Quantile returns an upper bound on the q-quantile (q in [0, 1]) of the
-// recorded observations: the upper edge of the bucket where the cumulative
-// count crosses q, clamped to the observed maximum. Returns 0 when empty.
+// recorded observations: the upper edge of the first bucket whose cumulative
+// count reaches ⌈q·count⌉, clamped to the observed maximum, the same bucket
+// QuantileFromBuckets picks from a scrape. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.count.Load()
 	if total == 0 {
@@ -109,7 +111,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	need := int64(q * float64(total))
+	need := int64(math.Ceil(q * float64(total)))
 	if need < 1 {
 		need = 1
 	}

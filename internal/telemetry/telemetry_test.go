@@ -229,8 +229,11 @@ func TestUnlabeledAndLabeledShareOneRegistry(t *testing.T) {
 	if fmt.Sprint(tenants) != "[a b]" {
 		t.Errorf("Each visited %v, want [a b] in label order", tenants)
 	}
+	// Quantiles read the bucket holding the ⌈q·count⌉-th observation: the
+	// median of {3, 100, 7000} is 100 (bucket edge 127), and p99 is the
+	// slowest observation itself.
 	ms := merged.Snapshot()
-	if ms.Count != 3 || ms.Sum != 7103 || ms.Max != 7000 || ms.P50 != 3 {
+	if ms.Count != 3 || ms.Sum != 7103 || ms.Max != 7000 || ms.P50 != 127 || ms.P99 != 7000 {
 		t.Errorf("merged = %+v", ms)
 	}
 
