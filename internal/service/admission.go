@@ -252,9 +252,10 @@ func (a *admitter) acquire(ctx contextDeadliner, tenant string) (release func(),
 			a.mu.Unlock()
 		}
 		return nil, state, &shedError{
-			status: http.StatusServiceUnavailable,
-			reason: ShedDeadline,
-			msg:    fmt.Sprintf("abandoned in queue: %v", ctx.Err()),
+			status:     http.StatusServiceUnavailable,
+			reason:     ShedDeadline,
+			retryAfter: time.Duration(a.estimateNs()),
+			msg:        fmt.Sprintf("abandoned in queue: %v", ctx.Err()),
 		}
 	}
 }

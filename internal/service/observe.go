@@ -41,7 +41,9 @@ const (
 const DeadlineHeader = "X-Deadline-Ms"
 
 // requestBudget resolves the request's deadline budget from the header and
-// config. ok is false (with a message) when the header is malformed.
+// config. ok is false (with a message) when the header is malformed. A header
+// too large for a time.Duration asks for more than any cap allows: it gets
+// the cap, or no deadline when there is none.
 func (s *Service) requestBudget(r *http.Request) (budget time.Duration, ok bool, msg string) {
 	budget = s.cfg.DefaultDeadline
 	if h := r.Header.Get(DeadlineHeader); h != "" {
@@ -49,7 +51,10 @@ func (s *Service) requestBudget(r *http.Request) (budget time.Duration, ok bool,
 		if err != nil || ms <= 0 {
 			return 0, false, "invalid " + DeadlineHeader + " header (want a positive integer of milliseconds)"
 		}
-		budget = time.Duration(ms) * time.Millisecond
+		budget = 0
+		if ms <= int64(math.MaxInt64/time.Millisecond) {
+			budget = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if s.cfg.MaxDeadline > 0 && (budget == 0 || budget > s.cfg.MaxDeadline) {
 		budget = s.cfg.MaxDeadline

@@ -94,6 +94,15 @@ func TestMaxDeadlineCapsClientBudget(t *testing.T) {
 	if !ok || budget != 50*time.Millisecond {
 		t.Fatalf("requestBudget (no header) = %v ok=%v, want 50ms", budget, ok)
 	}
+	// A header past time.Duration's range gets the cap; uncapped, it means
+	// no deadline. Neither may wrap to a negative budget.
+	huge := &http.Request{Header: http.Header{DeadlineHeader: []string{"9223372036854775807"}}}
+	if budget, ok, _ = svc.requestBudget(huge); !ok || budget != 50*time.Millisecond {
+		t.Errorf("requestBudget (huge header) = %v ok=%v, want 50ms", budget, ok)
+	}
+	if budget, ok, _ = New(Config{}).requestBudget(huge); !ok || budget != 0 {
+		t.Errorf("requestBudget (huge header, no cap) = %v ok=%v, want 0 (no deadline)", budget, ok)
+	}
 }
 
 // statsOf fetches and decodes the /stats snapshot.
@@ -236,6 +245,10 @@ func TestAdmitterDeadlineShed(t *testing.T) {
 		_, _, shed := a.acquire(ctx2, "t")
 		if shed == nil {
 			t.Error("canceled waiter was granted")
+			return
+		}
+		if shed.status != http.StatusServiceUnavailable || shed.retryAfter <= 0 {
+			t.Errorf("abandoned waiter status=%d retryAfter=%v, want 503 with positive hint", shed.status, shed.retryAfter)
 		}
 	}()
 	waitUntil(t, "waiter enqueued", func() bool { return a.queueLen() == 1 })
