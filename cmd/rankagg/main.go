@@ -250,8 +250,8 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *costRatio < 0 {
-		return fmt.Errorf("-cost-ratio must be non-negative, got %d", *costRatio)
+	if *costRatio < 0 || *costRatio > topk.MaxCostRatio {
+		return fmt.Errorf("-cost-ratio %d out of range [0,%d]", *costRatio, topk.MaxCostRatio)
 	}
 	if err := topk.CheckAlgo(*algo); err != nil {
 		return fmt.Errorf("-algo: %v", err)

@@ -96,8 +96,9 @@ func TestErrors(t *testing.T) {
 		{"dist"},                      // with empty stdin: < 2 rankings
 		{"agg", "-method", "unknown"}, // bad method
 		{"topk", "-k", "99"},          // k > n
+		{"topk", "-algo", "ta", "-cost-ratio", "9223372036854775807"}, // cost would overflow
 	}
-	stdins := []string{"", "", "", sample, sample}
+	stdins := []string{"", "", "", sample, sample, sample}
 	for i, args := range cases {
 		var out bytes.Buffer
 		if err := run(args, strings.NewReader(stdins[i]), &out); err == nil {

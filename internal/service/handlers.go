@@ -101,8 +101,8 @@ type TopKRequest struct {
 	Algo string `json:"algo,omitempty"`
 	// CostRatio is the FLN cR/cS weight used to schedule CA's random accesses
 	// and to price the response's middleware cost. 0 means the engine default
-	// (10 for ta/ca, 0 — the NRA regime — for medrank/nra); negative is an
-	// error.
+	// (10 for ta/ca, 0 — the NRA regime — for medrank/nra); a negative value
+	// or one above topk.MaxCostRatio is an error.
 	CostRatio int `json:"cost_ratio,omitempty"`
 	// Resilient runs the degraded-mode engine over fallible sources with
 	// bounded retries; with Chaos set, faults are injected deterministically.
@@ -571,8 +571,8 @@ func (s *Service) handleTopK(_ http.ResponseWriter, r *http.Request) (any, *apiE
 	if err := topk.CheckAlgo(req.Algo); err != nil {
 		return nil, fail(http.StatusBadRequest, "%v", err)
 	}
-	if req.CostRatio < 0 {
-		return nil, fail(http.StatusBadRequest, "cost_ratio=%d must be non-negative", req.CostRatio)
+	if req.CostRatio < 0 || req.CostRatio > topk.MaxCostRatio {
+		return nil, fail(http.StatusBadRequest, "cost_ratio=%d out of range [0,%d]", req.CostRatio, topk.MaxCostRatio)
 	}
 	if req.Chaos != nil && !req.Resilient {
 		return nil, fail(http.StatusBadRequest, "chaos requires resilient mode")

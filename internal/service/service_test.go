@@ -380,7 +380,9 @@ func TestTopKAlgoNRAAndCA(t *testing.T) {
 
 	for _, bad := range []string{
 		`{"k": 4, "algo": "ca", "cost_ratio": -1}`,
-		`{"k": 4, "algo": "nra", "theta": 0.5}`, // θ engine needs random access
+		`{"k": 4, "algo": "ca", "cost_ratio": 1048577}`,             // above topk.MaxCostRatio
+		`{"k": 4, "algo": "ta", "cost_ratio": 9223372036854775807}`, // the cost would wrap
+		`{"k": 4, "algo": "nra", "theta": 0.5}`,                     // θ engine needs random access
 	} {
 		if status, b := doReq(t, http.MethodPost, url, bad); status != http.StatusBadRequest {
 			t.Errorf("topk %s = %d, want 400: %s", bad, status, b)

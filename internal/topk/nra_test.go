@@ -378,8 +378,10 @@ func TestNRAExhaustsCompleteInstance(t *testing.T) {
 			t.Fatalf("ratio %d: k=n answer set differs", ratio)
 		}
 	}
-	if _, err := runSpec(in, Spec{Algo: AlgoCA, K: 3, CostRatio: -1}, nil); err == nil {
-		t.Fatal("negative ratio must be rejected")
+	for _, ratio := range []int{-1, MaxCostRatio + 1} {
+		if _, err := runSpec(in, Spec{Algo: AlgoCA, K: 3, CostRatio: ratio}, nil); err == nil {
+			t.Fatalf("ratio %d must be rejected", ratio)
+		}
 	}
 	if _, err := runSpec(nil, Spec{Algo: AlgoNRA, K: 3}, nil); err == nil {
 		t.Fatal("empty input must be rejected")

@@ -32,6 +32,12 @@ var ErrScanEnded = errors.New("topk: every surviving sorted scan ended before th
 // middleware regime.
 const DefaultCostRatio = 10
 
+// MaxCostRatio is the largest cR/cS weight a run accepts. It keeps the
+// middleware cost sequential + ratio·random far from int overflow: under the
+// default guard limits a run makes at most 2^40 random accesses, so the cost
+// stays below 2^61.
+const MaxCostRatio = 1 << 20
+
 // Spec names one top-k run: the engine and its parameters.
 type Spec struct {
 	// Algo selects the engine: "" or AlgoMedRank, AlgoTA, AlgoNRA, AlgoCA.
@@ -42,7 +48,7 @@ type Spec struct {
 	Policy Policy
 	// CostRatio is the random:sequential access cost ratio cR/cS at which
 	// CA schedules its random-access resolutions; 0 is the NRA regime. The
-	// other engines ignore it.
+	// other engines ignore it. Run rejects values outside [0, MaxCostRatio].
 	CostRatio int
 	// Theta is TA's (1+θ) early-stop slack; 0 runs exact TA. The other
 	// engines ignore it.
@@ -117,8 +123,8 @@ func Run(ctx context.Context, spec Spec, sources []faults.Source, acc *telemetry
 	if spec.K < 0 || spec.K > n {
 		return nil, fmt.Errorf("topk: k=%d out of range [0,%d]", spec.K, n)
 	}
-	if spec.CostRatio < 0 {
-		return nil, fmt.Errorf("topk: negative cost ratio %d", spec.CostRatio)
+	if spec.CostRatio < 0 || spec.CostRatio > MaxCostRatio {
+		return nil, fmt.Errorf("topk: cost ratio %d out of range [0,%d]", spec.CostRatio, MaxCostRatio)
 	}
 	if spec.Theta < 0 || math.IsNaN(spec.Theta) || math.IsInf(spec.Theta, 0) {
 		return nil, fmt.Errorf("topk: theta=%v out of range [0, +inf)", spec.Theta)
