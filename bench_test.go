@@ -108,8 +108,7 @@ func BenchmarkFHaus(b *testing.B) {
 //
 // Each pair compares the retained pre-workspace engine ("alloc") against the
 // zero-allocation workspace kernel ("workspace") on the same inputs. Run
-// with -benchmem; cmd/benchjson emits the same measurements as
-// BENCH_PR1.json.
+// with -benchmem; BENCH_PR1.json recorded the same measurements.
 
 func BenchmarkCountPairsKernel(b *testing.B) {
 	a, c := benchPair(1000, 6)

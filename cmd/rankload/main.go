@@ -1,6 +1,6 @@
 // Command rankload drives a live rankserve with heavy concurrent traffic and
-// writes a latency/throughput artifact (BENCH_PR6.json) in the benchjson
-// tradition: env-stamped, diffable, one record per endpoint.
+// writes a latency/throughput artifact (BENCH_PR6.json): env-stamped,
+// diffable, one record per endpoint.
 //
 // The workload is synthetic but shaped like real traffic: each tenant's
 // catalog is a Mallows-sampled ensemble (concentrated around a hidden
@@ -21,10 +21,8 @@
 // the artifact carries both the client's view and the server's view of the
 // same run.
 //
-// With -openloop, rankload switches to the overload experiment (see
-// openloop.go): Poisson arrivals at capacity-relative offered rates, a
-// deadline header on every query, and a BENCH_PR9.json artifact of
-// shed/degradation behavior per phase instead of the closed-loop report.
+// rankload is closed-loop: each client waits for its answer before sending
+// the next request. The repository benchmark (bench/) offers open-loop load.
 //
 // Usage:
 //
@@ -32,8 +30,6 @@
 //	         [-n 40] [-m 12] [-theta 1.0] [-k 5] [-seed 1]
 //	         [-mix topk=6,resilient=1,agg=2,submit=1,stats=1]
 //	         [-timeout 30s] [-scrape] [-out BENCH_PR6.json]
-//	         [-openloop [-rate R] [-sweep 0.3,2] [-duration 3s]
-//	          [-deadline-ms 500] [-grace-ms 250]]
 package main
 
 import (
@@ -275,12 +271,6 @@ func run(args []string, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
 	scrape := fs.Bool("scrape", false, "poll GET /metrics during the run and embed server-side latency quantiles")
 	out := fs.String("out", "", "write the JSON report here (default stdout)")
-	openloop := fs.Bool("openloop", false, "overload mode: Poisson arrivals at capacity-relative rates instead of the closed-loop mix")
-	olRate := fs.Float64("rate", 0, "openloop: base arrival rate in req/s (0 = measure capacity with a calibration burst)")
-	olSweep := fs.String("sweep", "0.3,2", "openloop: comma-separated multipliers of the base rate, one phase each")
-	olDuration := fs.Duration("duration", 3*time.Second, "openloop: wall clock per phase")
-	olDeadlineMs := fs.Int64("deadline-ms", 0, "openloop: X-Deadline-Ms stamped on every query (0 = none)")
-	olGraceMs := fs.Int64("grace-ms", 250, "openloop: accepted answers may run this far past the deadline before counting as violations")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -300,24 +290,7 @@ func run(args []string, stdout io.Writer) error {
 		mix: mix, mixStr: *mixFlag, timeout: *timeout, scrape: *scrape,
 	}
 
-	var rep any
-	if *openloop {
-		sweep, serr := parseSweep(*olSweep)
-		if serr != nil {
-			return serr
-		}
-		ocfg := overloadConfig{
-			loadConfig: cfg,
-			rate:       *olRate,
-			sweep:      sweep,
-			duration:   *olDuration,
-			deadlineMs: *olDeadlineMs,
-			graceMs:    *olGraceMs,
-		}
-		rep, err = driveOverload(ocfg)
-	} else {
-		rep, err = drive(cfg)
-	}
+	rep, err := drive(cfg)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,7 @@
 // Package envstamp stamps benchmark artifacts with the environment they were
-// produced in, so two JSON reports (BENCH_PR1.json .. BENCH_PR6.json) are
-// only compared when they come from comparable runs. Every benchmark-emitting
-// binary (benchjson, rankload) embeds one Stamp at the top of its report,
-// which keeps the perf trajectory diffable across PRs.
+// produced in, so two JSON reports (BENCH_PR1.json .. BENCH_PR10.json) are
+// only compared when they come from comparable runs. rankload embeds one
+// Stamp at the top of its report.
 package envstamp
 
 import (
@@ -11,7 +10,7 @@ import (
 )
 
 // Stamp is the environment header shared by all benchmark artifacts. The
-// JSON keys match the historical benchjson schema, so older artifacts stay
+// JSON keys match the checked-in BENCH_PR*.json artifacts, so they stay
 // directly comparable.
 type Stamp struct {
 	// GoVersion is the toolchain that built the binary.

@@ -16,8 +16,8 @@ func TestNewStampFields(t *testing.T) {
 	}
 }
 
-func TestStampJSONKeysMatchBenchjsonSchema(t *testing.T) {
-	// The JSON keys are load-bearing: BENCH_PR1..PR6 artifacts share them.
+func TestStampJSONKeysMatchArtifacts(t *testing.T) {
+	// The JSON keys are load-bearing: the BENCH_PR*.json artifacts share them.
 	b, err := json.Marshal(Stamp{GoVersion: "go1.x", GOMAXPROCS: 4, Commit: "abc"})
 	if err != nil {
 		t.Fatal(err)
