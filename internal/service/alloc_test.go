@@ -12,8 +12,9 @@ import (
 // instrument rim (trace identity, root span, labeled series, latency
 // observation), the handler and JSON rendering. Allocation counts are exact
 // where timings are noisy, so a ceiling catches a regression in the request
-// path that a latency benchmark would not resolve. The query ceilings are the
-// counts measured before the service recorded every tally exactly once; the
+// path that a latency benchmark would not resolve. The top-k ceilings are the
+// counts once the engines stopped allocating per probe; the aggregate ceiling
+// is the count before the service recorded every tally exactly once; the
 // write ceilings are the counts when they were added. The append runs last,
 // so the queries see the four-line corpus.
 func TestHandlerAllocCeilings(t *testing.T) {
@@ -27,8 +28,8 @@ func TestHandlerAllocCeilings(t *testing.T) {
 		ceiling                  float64
 	}{
 		{"PUT catalog", http.MethodPut, catalog, corpus, 152},
-		{"topk medrank k=2", http.MethodPost, catalog + "/topk", `{"k": 2}`, 174},
-		{"topk ta k=2", http.MethodPost, catalog + "/topk", `{"k": 2, "algo": "ta"}`, 148},
+		{"topk medrank k=2", http.MethodPost, catalog + "/topk", `{"k": 2}`, 164},
+		{"topk ta k=2", http.MethodPost, catalog + "/topk", `{"k": 2, "algo": "ta"}`, 146},
 		{"aggregate", http.MethodPost, catalog + "/aggregate", `{}`, 231},
 		{"POST rankings", http.MethodPost, catalog + "/rankings", "d | c | b | a\n", 100},
 	} {

@@ -81,6 +81,30 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginesWide runs each engine, k=5, on full Mallows rankings of the
+// overload CI job's shape (rankload -n 2400 -m 600 -k 5): concentrated at
+// θ=1.0, rankload's default, and flatter at θ=0.1, where certification reads
+// deeper. It is the only benchmark with more than 64 lists, so per-probe work
+// that grows with m shows here first.
+func BenchmarkEnginesWide(b *testing.B) {
+	setTelemetry(b, false)
+	for _, theta := range []float64{1.0, 0.1} {
+		in, _ := randrank.MallowsEnsemble(rand.New(rand.NewSource(7)), 2400, 600, theta)
+		for _, c := range engineSpecs {
+			spec := c.spec
+			spec.K = 5
+			b.Run(fmt.Sprintf("theta=%.1f/%s", theta, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := runSpec(in, spec, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkEnginesUnderFaults prices the fault paths on the same catalog:
 // retries absorbing a 2 % transient failure rate, and list 0 dying on its
 // second access so the run rebuilds over the four survivors and finishes

@@ -321,9 +321,61 @@ func TestCertificateLowerBoundAbsentElements(t *testing.T) {
 	}
 }
 
+// certificateLowerBoundCostRef is CertificateLowerBoundCost with each
+// winner's depth summed bucket by bucket.
+func certificateLowerBoundCostRef(rankings []*ranking.PartialRanking, winners []int, cs, cr int) int {
+	needed := (len(rankings) + 1) / 2
+	best := 0
+	for _, w := range winners {
+		var costs []int
+		for _, r := range rankings {
+			if w < 0 || w >= r.N() {
+				continue
+			}
+			depth := 1
+			for b := 0; b < r.BucketOf(w); b++ {
+				depth += r.BucketSize(b)
+			}
+			c := cs * depth
+			if cr > 0 && cr < c {
+				c = cr
+			}
+			costs = append(costs, c)
+		}
+		sort.Ints(costs)
+		total := 0
+		for i := 0; i < needed && i < len(costs); i++ {
+			total += costs[i]
+		}
+		best = max(best, total)
+	}
+	return best
+}
+
 // TestCertificateLowerBoundCost pins the cost-weighted bound and its
-// degenerate cases.
+// degenerate cases, and checks the bound against its summed definition on
+// random partial and top-k rankings.
 func TestCertificateLowerBoundCost(t *testing.T) {
+	refRng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n, m := 1+refRng.Intn(40), 1+refRng.Intn(7)
+		in := make([]*ranking.PartialRanking, m)
+		for i := range in {
+			if refRng.Intn(2) == 0 {
+				in[i] = randrank.Partial(refRng, n, 1+refRng.Intn(n))
+			} else {
+				in[i] = randrank.TopK(refRng, n, refRng.Intn(n+1))
+			}
+		}
+		winners := refRng.Perm(n)[:refRng.Intn(n+1)]
+		for _, cost := range [][2]int{{1, 0}, {1, 3}, {2, 10}} {
+			got := CertificateLowerBoundCost(in, winners, cost[0], cost[1])
+			if want := certificateLowerBoundCostRef(in, winners, cost[0], cost[1]); got != want {
+				t.Fatalf("trial %d (cs, cr) = %v: bound %d, summed definition %d", trial, cost, got, want)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	in := randrank.CatalogEnsemble(rng, 200, 5, 6, 1.0, 1.5).Rankings
 	res, err := runSpec(in, Spec{K: 8, Policy: RoundRobin}, nil)

@@ -209,25 +209,6 @@ type Degraded struct {
 	MedianIntervals2 [][2]int64 `json:"median_intervals2"`
 }
 
-// int64MaxHeap is a max-heap of int64 used to track the k smallest exact
-// medians (the root is the current k-th smallest).
-type int64MaxHeap []int64
-
-func (h int64MaxHeap) Len() int            { return len(h) }
-func (h int64MaxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h int64MaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *int64MaxHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *int64MaxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// Peek returns the root (the largest tracked value).
-func (h *int64MaxHeap) Peek() int64 { return (*h)[0] }
-
 // FullScanCost returns the access cost of the naive approach that reads
 // every list completely: n entries per list.
 func FullScanCost(rankings []*ranking.PartialRanking) AccessStats {
@@ -269,18 +250,18 @@ func CertificateLowerBoundCost(rankings []*ranking.PartialRanking, winners []int
 	m := len(rankings)
 	needed := (m + 1) / 2
 	best := 0
+	costs := make([]int, 0, m)
 	for _, w := range winners {
-		costs := make([]int, 0, m)
+		costs = costs[:0]
 		for _, r := range rankings {
 			if w < 0 || w >= r.N() {
 				continue // absent from this list: unobservable at any price
 			}
 			// Entries strictly before w's bucket, plus the probe that
-			// reveals w itself.
-			depth := 1
-			for b := 0; b < r.BucketOf(w); b++ {
-				depth += r.BucketSize(b)
-			}
+			// reveals w itself. A bucket's doubled position is
+			// 2·before + size + 1, so before is read off it in O(1).
+			b := r.BucketOf(w)
+			depth := int(r.BucketPos2(b)-int64(r.BucketSize(b))-1)/2 + 1
 			c := cs * depth
 			if cr > 0 && cr < c {
 				c = cr
