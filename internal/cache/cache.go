@@ -116,7 +116,11 @@ type Cache struct {
 
 // DefaultCapacity is the entry budget New applies when given a
 // non-positive capacity: enough for the full upper triangle of a
-// 1024-ranking ensemble (~8 MB of entries).
+// 1024-ranking ensemble. New sizes every shard's map for its whole share up
+// front, so an empty default cache is already a table of about 58 MB (an
+// idle rankserve is 66 MB resident with it and 8 MB without), and each
+// stored entry adds a 64-byte node. The empty table also acts as GC ballast;
+// DESIGN §9 records what dropping it costs.
 const DefaultCapacity = 1024 * 1023 / 2
 
 // New returns a cache bounded to roughly capacity entries, split over a
