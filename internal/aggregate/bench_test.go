@@ -3,6 +3,7 @@ package aggregate
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -18,9 +19,8 @@ func benchEnsemble(n, m int, theta float64) []*ranking.PartialRanking {
 }
 
 func BenchmarkMedianScores(b *testing.B) {
-	for _, n := range []int{1000, 100000} {
-		in := benchEnsemble(n, 7, 0.5)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	run := func(name string, in []*ranking.PartialRanking) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := MedianScores(in, LowerMedian); err != nil {
 					b.Fatal(err)
@@ -28,6 +28,43 @@ func BenchmarkMedianScores(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{1000, 100000} {
+		run(fmt.Sprintf("n=%d", n), benchEnsemble(n, 7, 0.5))
+	}
+	// The agg-cached workload's catalog shape.
+	in, _ := randrank.MallowsPartialEnsemble(rand.New(rand.NewSource(300)), 300, 24, 0.1, 10)
+	run("n=300,m=24,buckets=10", in)
+}
+
+// BenchmarkLocalKemenize runs local Kemenization on two benchmark workloads'
+// catalog shapes: agg-cached's (n=300, m=24, 10 buckets) from the median
+// start the service passes and from its reversal, and overload-deadline's
+// (n=2000, m=32, 8 values) from the median start.
+func BenchmarkLocalKemenize(b *testing.B) {
+	run := func(name string, in []*ranking.PartialRanking, reverse bool) {
+		start, err := MedianTopK(in, in[0].N())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if reverse {
+			order := start.Order()
+			slices.Reverse(order)
+			start = ranking.MustFromOrder(order)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LocalKemenize(start, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	in, _ := randrank.MallowsPartialEnsemble(rand.New(rand.NewSource(300)), 300, 24, 0.1, 10)
+	run("n=300,m=24/median", in, false)
+	run("n=300,m=24/reversed", in, true)
+	catalog := randrank.CatalogEnsemble(rand.New(rand.NewSource(2000)), 2000, 32, 8, 1, 0.05)
+	run("n=2000,m=32/median", catalog.Rankings, false)
 }
 
 func BenchmarkOptimalPartialEngines(b *testing.B) {

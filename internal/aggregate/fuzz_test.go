@@ -94,3 +94,43 @@ func FuzzMedianScores(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLocalKemenize checks that LocalKemenize makes exactly the swaps of the
+// plain swap loop. The bytes decode as n = data[0] mod 25 and
+// m = 1 + data[1] mod 9, then m inputs of n bytes each (ties as in
+// rankingFromBytes), then a candidate of n bytes read as scores, so equal
+// bytes tie and the candidate is refined by ID. Missing bytes read as zero.
+func FuzzLocalKemenize(f *testing.F) {
+	f.Add([]byte{6, 1, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 5, 4, 5, 4, 3, 2, 1, 0})       // reversed candidate
+	f.Add([]byte{5, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 4, 1, 5}) // inputs all one bucket
+	f.Add([]byte{8, 0, 2, 0, 1, 3, 0, 2, 1, 3, 7, 6, 5, 4, 3, 2, 1, 0})             // m=1
+	f.Add([]byte{1, 3, 0, 1, 2, 3, 9})                                              // n=1
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, m := int(data[0])%25, 1+int(data[1])%9
+		rest := data[2:]
+		next := func() []byte {
+			b := make([]byte, n)
+			rest = rest[copy(b, rest):]
+			return b
+		}
+		in := make([]*ranking.PartialRanking, m)
+		for i := range in {
+			in[i] = rankingFromBytes(next())
+		}
+		scores := make([]float64, n)
+		for e, b := range next() {
+			scores[e] = float64(b)
+		}
+		cand := ranking.FromScores(scores)
+		got, err := LocalKemenize(cand, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refKemenize(t, cand, in); !got.Equal(want) {
+			t.Fatalf("LocalKemenize %v != reference %v (inputs %v, candidate %v)", got, want, in, cand)
+		}
+	})
+}

@@ -26,6 +26,7 @@ package aggregate
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/metrics"
@@ -33,10 +34,10 @@ import (
 )
 
 // The parallel candidate-evaluation paths in this package (MedianScores2,
-// FootruleOptimalFull's cost fill, LocalKemenize's margin sweep,
-// BestOfInputsParallel, SumDistanceParallel) all ride metrics.ParallelEach
-// and share its determinism contract: parallel fill of disjoint slots,
-// serial reduce in index order.
+// FootruleOptimalFull's cost fill, BestOfInputsParallel,
+// SumDistanceParallel) all ride metrics.ParallelEach and share its
+// determinism contract: parallel fill of disjoint slots, serial reduce in
+// index order.
 
 // ErrNoInput is returned by aggregators called with no rankings.
 var ErrNoInput = errors.New("aggregate: no input rankings")
@@ -145,7 +146,7 @@ func medianFill2(rankings []*ranking.PartialRanking, choice MedianChoice, out []
 		for i, r := range rankings {
 			buf[i] = r.Pos2(e)
 		}
-		sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
+		slices.Sort(buf)
 		// buf holds doubled positions; out holds quadrupled medians.
 		if m%2 == 1 {
 			out[e] = 2 * buf[m/2]

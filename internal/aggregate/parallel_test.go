@@ -2,7 +2,9 @@ package aggregate
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -131,8 +133,8 @@ func TestMedianScores2ParallelMatchesSerial(t *testing.T) {
 }
 
 // refKemenize is a direct serial transcription of the local Kemenization
-// swap loop with on-the-fly majority scans — the reference the margin-matrix
-// fast path must match swap for swap.
+// swap loop: every pass queries every adjacent pair, with on-the-fly
+// majority scans. LocalKemenize must match it swap for swap.
 func refKemenize(t *testing.T, candidate *ranking.PartialRanking, rankings []*ranking.PartialRanking) *ranking.PartialRanking {
 	t.Helper()
 	if !candidate.IsFull() {
@@ -164,10 +166,30 @@ func refKemenize(t *testing.T, candidate *ranking.PartialRanking, rankings []*ra
 	return ranking.MustFromOrder(order)
 }
 
-// LocalKemenize's precomputed-margin path must land on exactly the ranking
-// the on-the-fly reference produces.
-func TestLocalKemenizeMarginPathMatchesReference(t *testing.T) {
+// reversedOrder returns the full ranking that lists pr's order back to front.
+func reversedOrder(pr *ranking.PartialRanking) *ranking.PartialRanking {
+	order := pr.Order()
+	slices.Reverse(order)
+	return ranking.MustFromOrder(order)
+}
+
+// LocalKemenize reads margins from its bucket rows and skips the adjacent
+// pairs it already kept; it must still land on exactly the reference's
+// ranking from random, reversed, Borda and partial candidates, on inputs
+// that are all one bucket, and on the agg-cached workload's catalog shape
+// (n=300, m=24, 10 buckets) from the median start and its reversal.
+func TestLocalKemenizeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
+	check := func(name string, cand *ranking.PartialRanking, in []*ranking.PartialRanking) {
+		t.Helper()
+		got, err := LocalKemenize(cand, in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := refKemenize(t, cand, in); !got.Equal(want) {
+			t.Fatalf("%s: LocalKemenize %v != reference %v", name, got, want)
+		}
+	}
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + rng.Intn(30)
 		m := 3 + rng.Intn(8)
@@ -175,15 +197,31 @@ func TestLocalKemenizeMarginPathMatchesReference(t *testing.T) {
 		for i := 0; i < m; i++ {
 			in = append(in, randrank.Partial(rng, n, 4))
 		}
-		cand := randrank.Full(rng, n)
-		got, err := LocalKemenize(cand, in)
+		name := fmt.Sprintf("trial %d (n=%d, m=%d)", trial, n, m)
+		check(name+", random", randrank.Full(rng, n), in)
+		median, err := MedianFull(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := refKemenize(t, cand.Clone(), in)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d (n=%d, m=%d): margin path %v != reference %v",
-				trial, n, m, got, want)
+		check(name+", reversed median", reversedOrder(median), in)
+		borda, err := Borda(in)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(name+", Borda", borda, in)
+		partial := randrank.Partial(rng, n, 4)
+		check(name+", partial", partial, in)
+		flat := make([]*ranking.PartialRanking, m)
+		for i := range flat {
+			flat[i] = ranking.MustFromBuckets(n, [][]int{identityFull(n).Order()})
+		}
+		check(name+", one-bucket inputs", partial, flat)
 	}
+	in, _ := randrank.MallowsPartialEnsemble(rng, 300, 24, 0.1, 10)
+	start, err := MedianTopK(in, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("n=300, m=24, median start", start, in)
+	check("n=300, m=24, reversed median start", reversedOrder(start), in)
 }

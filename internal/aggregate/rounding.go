@@ -20,19 +20,23 @@ import (
 func MedianTopK(rankings []*ranking.PartialRanking, k int) (_ *ranking.PartialRanking, err error) {
 	defer guard.Capture(&err)
 	defer telemetry.StartSpan("aggregate.median_topk").End()
-	if err := checkInputs(rankings); err != nil {
-		return nil, err
-	}
-	n := rankings[0].N()
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("aggregate: k=%d out of range [0,%d]", k, n)
-	}
 	f, err := MedianScores(rankings, LowerMedian)
 	if err != nil {
 		return nil, err
 	}
-	order := sortedByScore(f)
-	return ranking.TopKList(n, k, order)
+	return TopKByScore(f, k)
+}
+
+// TopKByScore is the rounding step of Theorem 9: the top-k list of the k
+// elements with the smallest scores, ordered by score with ties broken by
+// element ID. MedianTopK applies it to the median position vector; a caller
+// that already holds that vector applies it directly.
+func TopKByScore(f []float64, k int) (*ranking.PartialRanking, error) {
+	n := len(f)
+	if k < 0 || k > n {
+		return nil, fmt.Errorf("aggregate: k=%d out of range [0,%d]", k, n)
+	}
+	return ranking.TopKList(n, k, sortedByScore(f))
 }
 
 // MedianFull implements the aggregation of Theorem 11: return a full

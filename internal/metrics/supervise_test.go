@@ -186,8 +186,11 @@ func TestResumeWithoutPriorState(t *testing.T) {
 
 // Repeated failures keep a monotonically growing union bitmap, so iterated
 // resumption always converges. Cells fail (by panic or error) exactly once
-// each; every round makes progress and the fixed point matches the clean
-// sweep. Run under -race this is the chaos test of the supervision layer.
+// each. A round may complete no new cell — its workers can reach only
+// first-time failers before the sweep aborts — but every failing round
+// consumes at least one failure, so the rounds are bounded by the failing
+// cells and the fixed point matches the clean sweep. Run under -race this is
+// the chaos test of the supervision layer.
 func TestResumeConvergesUnderChaos(t *testing.T) {
 	const m = 18
 	in := chaosEnsemble(t, 77, m)
@@ -200,6 +203,21 @@ func TestResumeConvergesUnderChaos(t *testing.T) {
 	// failers panic, odd-indexed ones error.
 	var failOnce [1000]atomic.Bool
 	shouldFail := func(idx int) bool { return idx%5 == 2 }
+	failing := 0
+	for idx := 0; idx < total; idx++ {
+		if shouldFail(idx) {
+			failing++
+		}
+	}
+	consumed := func() int {
+		c := 0
+		for idx := 0; idx < total; idx++ {
+			if failOnce[idx].Load() {
+				c++
+			}
+		}
+		return c
+	}
 	d := func(ws *Workspace, a, b *ranking.PartialRanking) (float64, error) {
 		i, j := indexOf(in, a, b)
 		idx := PairIndex(m, i, j)
@@ -213,19 +231,24 @@ func TestResumeConvergesUnderChaos(t *testing.T) {
 	}
 	mat, err := DistanceMatrixWith(in, d)
 	rounds := 0
-	lastDone := -1
+	lastDone, lastConsumed := 0, 0
 	for err != nil {
 		var se *SweepError
 		if !errors.As(err, &se) {
 			t.Fatalf("round %d: err = %T (%v), want *SweepError", rounds, err, err)
 		}
-		if done := se.Completed.Count(); done <= lastDone {
-			t.Fatalf("round %d: no progress (%d completed, was %d)", rounds, done, lastDone)
+		if done := se.Completed.Count(); done < lastDone {
+			t.Fatalf("round %d: completed cells shrank to %d, was %d", rounds, done, lastDone)
 		} else {
 			lastDone = done
 		}
-		if rounds++; rounds > total {
-			t.Fatal("resumption did not converge")
+		if c := consumed(); c <= lastConsumed {
+			t.Fatalf("round %d: failed without consuming a failure (%d consumed, was %d)", rounds, c, lastConsumed)
+		} else {
+			lastConsumed = c
+		}
+		if rounds++; rounds > failing {
+			t.Fatalf("resumption did not converge within %d rounds", failing)
 		}
 		mat, err = ResumeDistanceMatrix(in, mat, err, d)
 	}

@@ -14,9 +14,10 @@ import (
 // where timings are noisy, so a ceiling catches a regression in the request
 // path that a latency benchmark would not resolve. The top-k ceilings are the
 // counts once the engines stopped allocating per probe; the aggregate ceiling
-// is the count before the service recorded every tally exactly once; the
-// write ceilings are the counts when they were added. The append runs last,
-// so the queries see the four-line corpus.
+// is the count once the request computed its median vector once and local
+// Kemenization dropped its margin matrix; the write ceilings are the counts
+// when they were added. The append runs last, so the queries see the
+// four-line corpus.
 func TestHandlerAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
@@ -30,7 +31,7 @@ func TestHandlerAllocCeilings(t *testing.T) {
 		{"PUT catalog", http.MethodPut, catalog, corpus, 152},
 		{"topk medrank k=2", http.MethodPost, catalog + "/topk", `{"k": 2}`, 164},
 		{"topk ta k=2", http.MethodPost, catalog + "/topk", `{"k": 2, "algo": "ta"}`, 146},
-		{"aggregate", http.MethodPost, catalog + "/aggregate", `{}`, 231},
+		{"aggregate", http.MethodPost, catalog + "/aggregate", `{}`, 198},
 		{"POST rankings", http.MethodPost, catalog + "/rankings", "d | c | b | a\n", 100},
 	} {
 		serve := func() {

@@ -902,7 +902,7 @@ func (s *Service) handleAggregate(_ http.ResponseWriter, r *http.Request) (any, 
 	}
 	if apiErr := phase("median_topk", func(context.Context) error {
 		var err error
-		median, err = aggregate.MedianTopK(c.rankings, n)
+		median, err = aggregate.TopKByScore(scores, n)
 		return err
 	}); apiErr != nil {
 		eng.End()
