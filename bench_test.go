@@ -106,50 +106,75 @@ func BenchmarkFHaus(b *testing.B) {
 
 // --- Workspace kernel benchmarks ------------------------------------------
 //
-// Each pair compares the retained pre-workspace engine ("alloc") against the
-// zero-allocation workspace kernel ("workspace") on the same inputs. Run
-// with -benchmem; BENCH_PR1.json recorded the same measurements.
+// Each pair compares the retained pre-workspace engine ("alloc" or
+// "refinement") against the zero-allocation workspace kernel ("workspace")
+// on the same inputs, over the pair shapes of kernelPairs. Run with
+// -benchmem; BENCH_PR1.json recorded the maxBucket=6 measurements.
+
+type kernelPair struct {
+	name string
+	a, b *ranking.PartialRanking
+}
+
+// kernelPairs returns the kernel benchmark shapes: a 1000-element pair with
+// buckets of up to 6, and the shapes the server computes on — two 10-bucket
+// 300-element catalog lists (agg-cached, ingest-churn), two 6-value
+// 1000-element lists (the top-k catalogs), and a full 300-ranking against a
+// 10-bucket list (an aggregate's median against one input).
+func kernelPairs() []kernelPair {
+	a, c := benchPair(1000, 6)
+	churn, center := randrank.MallowsPartialEnsemble(rand.New(rand.NewSource(1)), 300, 16, 0.1, 10)
+	catalog := randrank.CatalogEnsemble(rand.New(rand.NewSource(2)), 1000, 16, 6, 1, 0.05).Rankings
+	return []kernelPair{
+		{"maxBucket=6", a, c},
+		{"churn", churn[0], churn[1]},
+		{"catalog", catalog[0], catalog[1]},
+		{"full-vs-10", center, churn[0]},
+	}
+}
 
 func BenchmarkCountPairsKernel(b *testing.B) {
-	a, c := benchPair(1000, 6)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := metrics.CountPairsAlloc(a, c); err != nil {
-				b.Fatal(err)
+	for _, p := range kernelPairs() {
+		b.Run(p.name+"/alloc", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := metrics.CountPairsAlloc(p.a, p.b); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("workspace", func(b *testing.B) {
-		ws := metrics.NewWorkspace()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.CountPairs(a, c); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(p.name+"/workspace", func(b *testing.B) {
+			ws := metrics.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.CountPairs(p.a, p.b); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkFHausKernel(b *testing.B) {
-	a, c := benchPair(1000, 6)
-	b.Run("refinement", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := metrics.FHausViaRefinement(a, c); err != nil {
-				b.Fatal(err)
+	for _, p := range kernelPairs() {
+		b.Run(p.name+"/refinement", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := metrics.FHausViaRefinement(p.a, p.b); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("workspace", func(b *testing.B) {
-		ws := metrics.NewWorkspace()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.FHaus(a, c); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(p.name+"/workspace", func(b *testing.B) {
+			ws := metrics.NewWorkspace()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.FHaus(p.a, p.b); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func benchEnsemble(m, n int) []*ranking.PartialRanking {

@@ -8,8 +8,10 @@
 // F^(l) of Appendix A.3, Goodman-Kruskal gamma (Related work), and
 // brute-force reference implementations that enumerate full refinements.
 //
-// All fast paths are O(n log n); every one of them is pinned to an O(n^2) or
-// exhaustive reference by the package tests.
+// The pair kernels walk the non-empty cells of the two rankings' bucket
+// table, O(n + C log t) for C ≤ min(n, ta·tb) cells: O(n log n) on full
+// rankings, near-linear on few-valued ones. Every fast path is pinned to an
+// O(n^2) or exhaustive reference by the package tests.
 package metrics
 
 import (

@@ -1,28 +1,34 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ranking"
 )
 
-// rankingFromBytes maps a byte string onto a bucket order with common ties.
+// rankingFromBytes maps a byte string onto a bucket order. The leading byte
+// sets the label modulus m in 1..256; each later byte labels one element
+// with its value mod m, and equal labels tie, smaller labels first. A small
+// m gives few-valued shapes, a large one near-full rankings. An empty string
+// is the empty ranking.
 func rankingFromBytes(data []byte) *ranking.PartialRanking {
+	if len(data) == 0 {
+		return ranking.MustFromBuckets(0, nil)
+	}
+	mod := int(data[0]) + 1
+	data = data[1:]
 	n := len(data)
-	groups := map[byte][]int{}
-	var labels []byte
+	groups := map[int][]int{}
+	var labels []int
 	for i, b := range data {
-		lbl := b % 7
+		lbl := int(b) % mod
 		if _, ok := groups[lbl]; !ok {
 			labels = append(labels, lbl)
 		}
 		groups[lbl] = append(groups[lbl], i)
 	}
-	for i := 1; i < len(labels); i++ {
-		for j := i; j > 0 && labels[j] < labels[j-1]; j-- {
-			labels[j], labels[j-1] = labels[j-1], labels[j]
-		}
-	}
+	slices.Sort(labels)
 	buckets := make([][]int, 0, len(labels))
 	for _, l := range labels {
 		buckets = append(buckets, groups[l])
@@ -30,13 +36,19 @@ func rankingFromBytes(data []byte) *ranking.PartialRanking {
 	return ranking.MustFromBuckets(n, buckets)
 }
 
+// bruteFHausPairs caps the refinement pairs FuzzMetricInvariants hands to
+// FHausBrute, which computes a footrule for every pair in each direction.
+const bruteFHausPairs = 5040
+
 // FuzzMetricInvariants drives the full metric stack with fuzz-shaped
-// ranking pairs: no panics, symmetry, and every Theorem 7 window.
+// ranking pairs: no panics, symmetry, every Theorem 7 window, and the
+// workspace kernels against their references.
 func FuzzMetricInvariants(f *testing.F) {
-	f.Add([]byte{0, 1, 2}, []byte{2, 1, 0})
-	f.Add([]byte{0, 0, 0, 0}, []byte{1, 2, 3, 4})
+	f.Add([]byte{6, 0, 1, 2}, []byte{6, 2, 1, 0})
+	f.Add([]byte{6, 0, 0, 0, 0}, []byte{6, 1, 2, 3, 4})
 	f.Add([]byte{}, []byte{})
-	f.Add([]byte{9}, []byte{3})
+	f.Add([]byte{6, 9}, []byte{6, 3})
+	f.Add([]byte{255, 5, 3, 9, 1, 7, 2, 8}, []byte{2, 5, 3, 9, 1, 7, 2, 8})
 	f.Fuzz(func(t *testing.T, da, db []byte) {
 		if len(da) != len(db) {
 			// Same-length prefix keeps the domains aligned.
@@ -46,8 +58,8 @@ func FuzzMetricInvariants(f *testing.F) {
 				db = db[:len(da)]
 			}
 		}
-		if len(da) > 64 {
-			da, db = da[:64], db[:64]
+		if len(da) > 65 {
+			da, db = da[:65], db[:65]
 		}
 		a := rankingFromBytes(da)
 		b := rankingFromBytes(db)
@@ -76,6 +88,25 @@ func FuzzMetricInvariants(f *testing.F) {
 		slow, _ := CountPairsNaive(a, b)
 		if fast != slow {
 			t.Fatalf("CountPairs mismatch: %+v vs %+v", fast, slow)
+		}
+
+		if fhBA, _ := FHaus(b, a); fhBA != fh {
+			t.Fatalf("FHaus asymmetric: %d vs %d", fh, fhBA)
+		}
+		if ref, _ := FHausViaRefinement(a, b); fh != ref {
+			t.Fatalf("FHaus = %d, refinement %d\na=%v\nb=%v", fh, ref, a, b)
+		}
+		ra, _ := a.NumFullRefinements()
+		rb, _ := b.NumFullRefinements()
+		if a.N() <= 7 && ra*rb <= bruteFHausPairs {
+			if brute, _ := FHausBrute(a, b); fh != brute {
+				t.Fatalf("FHaus = %d, brute force %d\na=%v\nb=%v", fh, brute, a, b)
+			}
+		}
+		d, _ := Distances(a, b)
+		want := AllDistances{KProf: float64(kp2) / 2, FProf: float64(fp2) / 2, KHaus: kh, FHaus: fh}
+		if d != want {
+			t.Fatalf("Distances = %+v, separate kernels %+v", d, want)
 		}
 	})
 }

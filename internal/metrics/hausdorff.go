@@ -11,7 +11,8 @@ import (
 //
 // where U is the set of pairs in different buckets of both rankings and in
 // different orders, S the pairs tied only in sigma, and T the pairs tied
-// only in tau. Runs in O(n log n).
+// only in tau. Runs in one walk over the C non-empty bucket cells of the
+// pair, O(n + C log t) (see (*Workspace).CountPairs).
 func KHaus(a, b *ranking.PartialRanking) (int64, error) {
 	pc, err := CountPairs(a, b)
 	if err != nil {
@@ -67,8 +68,9 @@ func KHausViaRefinement(a, b *ranking.PartialRanking) (int64, error) {
 // FHaus returns the Hausdorff-footrule distance between two partial rankings
 // via the Theorem 5 characterization: max{F(sigma1, tau1), F(sigma2, tau2)}
 // over the two witness pairs. The result is an integer because F between
-// full rankings is integral. Runs in O(n log n) with a pooled workspace; the
-// witness rankings are never materialized (see (*Workspace).FHaus).
+// full rankings is integral. Runs in one walk over the C non-empty bucket
+// cells of the pair, O(n + C log t), on a pooled workspace; the witness
+// rankings are never materialized (see (*Workspace).FHaus).
 func FHaus(a, b *ranking.PartialRanking) (int64, error) {
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
@@ -140,4 +142,11 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

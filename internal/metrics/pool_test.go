@@ -94,8 +94,4 @@ func TestPoolStatsCountsKernels(t *testing.T) {
 	if got := telemetry.GetCounter("metrics.kernel.fhaus").Value() - fh; got != 1 {
 		t.Errorf("fhaus kernel counter advanced by %d, want 1", got)
 	}
-	// The packed-key kernel handled this n, so the fallback never fired.
-	if v := telemetry.GetCounter("metrics.kernel.fhaus.fallback").Value(); v != 0 {
-		t.Errorf("fhaus fallback counter = %d on n=40 domains, want 0", v)
-	}
 }

@@ -13,18 +13,17 @@ import (
 // adds behind a single enabled-flag load, so the kernels stay at 0 allocs/op
 // (and near-zero overhead) with telemetry disabled.
 var (
-	tPoolGets      = telemetry.GetCounter("metrics.workspace.pool.gets")
-	tPoolPuts      = telemetry.GetCounter("metrics.workspace.pool.puts")
-	tPoolMisses    = telemetry.GetCounter("metrics.workspace.pool.misses")
-	tCountPairs    = telemetry.GetCounter("metrics.kernel.countpairs")
-	tFHaus         = telemetry.GetCounter("metrics.kernel.fhaus")
-	tFHausFallback = telemetry.GetCounter("metrics.kernel.fhaus.fallback")
+	tPoolGets   = telemetry.GetCounter("metrics.workspace.pool.gets")
+	tPoolPuts   = telemetry.GetCounter("metrics.workspace.pool.puts")
+	tPoolMisses = telemetry.GetCounter("metrics.workspace.pool.misses")
+	tCountPairs = telemetry.GetCounter("metrics.kernel.countpairs")
+	tFHaus      = telemetry.GetCounter("metrics.kernel.fhaus")
 )
 
 // Workspace holds the reusable scratch state of the metric kernels: a
-// Fenwick tree for discordance counting, per-element bucket-index and sort
-// buffers, and the packed-key buffers of the Hausdorff witness kernel. A
-// warm Workspace lets CountPairs, the Kendall family, and the footrule
+// Fenwick tree for discordance counting, one state row per b-bucket, and the
+// list of b-buckets the current a-bucket touches (see walkCells). A warm
+// Workspace lets CountPairs, the Kendall family, and the footrule
 // family run with zero heap allocations, which is what ensemble workloads
 // (DistanceMatrix, SumDistance, aggregation objective evaluation, MEDRANK
 // scoring) need: O(1) allocations per distance instead of O(n).
@@ -34,10 +33,18 @@ var (
 // The zero value is ready to use. Workspaces hold no references to the
 // rankings they process, so pooling never extends ranking lifetimes.
 type Workspace struct {
-	ft    permutation.Fenwick // discordance counter over b's bucket indices
-	bkts  []int32             // per-a-bucket sort buffer of b-bucket indices
-	keys  []uint64            // packed (bucket, bucket, element) sort keys
-	ranks []int32             // element -> witness-rank scratch
+	ft      permutation.Fenwick // walked elements per b-bucket
+	cols    []column            // per-b-bucket state of the cell walk
+	touched []int32             // b-buckets touched by the current a-bucket
+}
+
+// column is the cell walk's state for one b-bucket j. The b-ranking of each
+// witness pair lays out bucket j's cells in a-bucket order: witness 1 from
+// the front of the bucket, witness 2 from its back.
+type column struct {
+	lo   int32 // elements before witness 1's next cell of j
+	hi   int32 // elements up to the end of witness 2's next cell of j
+	cell int32 // elements of j in the current a-bucket
 }
 
 // NewWorkspace returns an empty workspace. Scratch buffers grow on first use
@@ -90,90 +97,123 @@ func PoolStats() PoolSnapshot {
 	}
 }
 
-// i32 returns the int32 scratch buffer with capacity for n entries.
-func (ws *Workspace) i32(n int) []int32 {
-	if cap(ws.bkts) < n {
-		ws.bkts = make([]int32, n)
+// columns returns the cell walk's per-b-bucket state for b, before any
+// cell is charged, and the pairs tied in b.
+func (ws *Workspace) columns(b *ranking.PartialRanking) ([]column, int64) {
+	nb := b.NumBuckets()
+	if cap(ws.cols) < nb {
+		ws.cols = make([]column, nb)
 	}
-	return ws.bkts[:n]
+	cols := ws.cols[:nb]
+	var start int32
+	var tied int64
+	for j := range cols {
+		size := int32(b.BucketSize(j))
+		cols[j] = column{lo: start, hi: start + size}
+		start += size
+		tied += int64(size) * int64(size-1) / 2
+	}
+	return cols, tied
 }
 
-// u64 returns the packed-key scratch buffer with room for n entries.
-func (ws *Workspace) u64(n int) []uint64 {
-	if cap(ws.keys) < n {
-		ws.keys = make([]uint64, n)
-	}
-	return ws.keys[:n]
+// cellSums is what one walk over the bucket cells of a pair yields.
+type cellSums struct {
+	discordant   int64
+	tiedA, tiedB int64 // pairs tied in a, in b
+	tiedInBoth   int64
+	f1, f2       int64 // footrules of the two Theorem 5 witness pairs
 }
 
-// rank32 returns the rank scratch buffer with room for n entries.
-func (ws *Workspace) rank32(n int) []int32 {
-	if cap(ws.ranks) < n {
-		ws.ranks = make([]int32, n)
+// walkCells visits the non-empty cells (i, j) of the a-bucket × b-bucket
+// table, a-buckets best-first and, within one, b-buckets ascending (see
+// charge). A singleton a-bucket is its own cell; a larger one counts its
+// elements' b-buckets in the column rows and sorts only the distinct ones.
+// The walk is O(n + C log t) for C ≤ min(n, Ba·Bb) non-empty cells.
+func (ws *Workspace) walkCells(a, b *ranking.PartialRanking) cellSums {
+	bof := b.BucketIndices()
+	ws.ft.Reset(b.NumBuckets())
+	var s cellSums
+	cols, tiedB := ws.columns(b)
+	s.tiedB = tiedB
+	touched := ws.touched
+	var walked int64 // elements of earlier a-buckets: the start of bucket i
+	for i := 0; i < a.NumBuckets(); i++ {
+		bucket := a.Bucket(i)
+		size := int64(len(bucket))
+		if len(bucket) == 1 {
+			j := bof[bucket[0]]
+			s.charge(&ws.ft, &cols[j], j, walked, size, 0, 1)
+			walked++
+			continue
+		}
+		touched = touched[:0]
+		for _, e := range bucket {
+			j := bof[e]
+			if cols[j].cell == 0 {
+				touched = append(touched, int32(j))
+			}
+			cols[j].cell++
+		}
+		slices.Sort(touched)
+		var row int64 // elements of bucket i in b-buckets before j
+		for _, j := range touched {
+			col := &cols[j]
+			c := int64(col.cell)
+			col.cell = 0
+			s.charge(&ws.ft, col, int(j), walked, size, row, c)
+			row += c
+		}
+		s.tiedA += size * (size - 1) / 2
+		walked += size
 	}
-	return ws.ranks[:n]
+	ws.touched = touched
+	return s
+}
+
+// charge adds the cell (i, j) of c elements, where a-bucket i of the given
+// size starts after walked elements and has row elements in b-buckets
+// before j:
+//   - discordant pairs: c times the walked elements in b-buckets after j.
+//     Earlier cells of bucket i lie in b-buckets before j, so each cell
+//     joins the Fenwick tree as soon as it is charged;
+//   - pairs tied in both: C(c, 2);
+//   - each Theorem 5 witness footrule: c·|offset|, because the cell's
+//     elements form one block, in id order, in both rankings of the pair.
+//     Witness 1 orders a by (a-bucket, b-bucket reversed, id) and b by
+//     (b-bucket, a-bucket, id); witness 2 orders a by (a-bucket, b-bucket,
+//     id) and b by (b-bucket, a-bucket reversed, id).
+func (s *cellSums) charge(ft *permutation.Fenwick, col *column, j int, walked, size, row, c int64) {
+	s.discordant += c * (walked + row - ft.PrefixSum(j))
+	s.tiedInBoth += c * (c - 1) / 2
+	ft.Add(j, c)
+	s.f1 += c * abs64(walked+size-row-c-int64(col.lo))
+	s.f2 += c * abs64(walked+row-int64(col.hi)+c)
+	col.lo += int32(c)
+	col.hi -= int32(c)
+}
+
+// pairCounts completes the pair classification from a walk's sums.
+func (s cellSums) pairCounts(n int) PairCounts {
+	total := int64(n) * int64(n-1) / 2
+	return PairCounts{
+		Concordant:  total - s.tiedA - s.tiedB + s.tiedInBoth - s.discordant,
+		Discordant:  s.discordant,
+		TiedOnlyInA: s.tiedA - s.tiedInBoth,
+		TiedOnlyInB: s.tiedB - s.tiedInBoth,
+		TiedInBoth:  s.tiedInBoth,
+	}
 }
 
 // CountPairs classifies all element pairs of two same-domain partial
-// rankings exactly as the package-level CountPairs, reusing the workspace's
-// scratch state so a warm call performs no heap allocation. Pairs tied in
-// both rankings are counted by sorting each a-bucket's b-bucket indices in
-// a reusable buffer and summing equal runs — replacing the per-call hash
-// map of the original engine — and discordances come from the workspace's
-// Fenwick tree over b's buckets, reset in place.
+// rankings exactly as the package-level CountPairs, in one walk over the
+// non-empty bucket cells (walkCells) that reuses the workspace's scratch
+// state, so a warm call performs no heap allocation.
 func (ws *Workspace) CountPairs(a, b *ranking.PartialRanking) (PairCounts, error) {
 	if err := ranking.CheckSameDomain(a, b); err != nil {
 		return PairCounts{}, err
 	}
 	tCountPairs.Inc()
-	n := a.N()
-	var pc PairCounts
-	tiedA := tiedPairs(a)
-	tiedB := tiedPairs(b)
-
-	// Walk a's buckets best-first. For each bucket: count discordances of
-	// its elements against everything already inserted (strictly later
-	// b-buckets), then count its tied-in-both pairs by sorting the bucket's
-	// b-bucket indices and summing runs, then insert the bucket. Elements
-	// of one a-bucket are inserted only after the whole bucket is counted,
-	// so a-tied pairs contribute no discordances; b-tied pairs are excluded
-	// by the strict Fenwick range.
-	bof := b.BucketIndices()
-	ws.ft.Reset(b.NumBuckets())
-	seg := ws.i32(n)
-	var seen int64
-	for ai := 0; ai < a.NumBuckets(); ai++ {
-		bucket := a.Bucket(ai)
-		s := seg[:0]
-		for _, e := range bucket {
-			bi := bof[e]
-			pc.Discordant += seen - ws.ft.PrefixSum(bi)
-			s = append(s, int32(bi))
-		}
-		if len(s) > 1 {
-			slices.Sort(s)
-			run := int64(1)
-			for i := 1; i < len(s); i++ {
-				if s[i] == s[i-1] {
-					run++
-					continue
-				}
-				pc.TiedInBoth += run * (run - 1) / 2
-				run = 1
-			}
-			pc.TiedInBoth += run * (run - 1) / 2
-		}
-		for _, bi := range s {
-			ws.ft.Add(int(bi), 1)
-		}
-		seen += int64(len(bucket))
-	}
-
-	pc.TiedOnlyInA = tiedA - pc.TiedInBoth
-	pc.TiedOnlyInB = tiedB - pc.TiedInBoth
-	total := int64(n) * int64(n-1) / 2
-	pc.Concordant = total - tiedA - tiedB + pc.TiedInBoth - pc.Discordant
-	return pc, nil
+	return ws.walkCells(a, b).pairCounts(a.N()), nil
 }
 
 // KProf returns the Kendall profile metric Kprof = K^(1/2) (Section 3.1)
@@ -276,108 +316,40 @@ func (ws *Workspace) Footrule(a, b *ranking.PartialRanking) (int64, error) {
 	return d2 / 2, nil
 }
 
-// maxPackedN bounds the domain size of the packed-key Hausdorff kernel:
-// three 21-bit fields (bucket, bucket, element) must fit one uint64 sort
-// key. Larger domains fall back to the allocating refinement construction.
-const maxPackedN = 1 << 21
-
 // FHaus returns the Hausdorff-footrule metric via the Theorem 5 witness
-// characterization, computed without materializing the refinements: each
-// witness full ranking sorts the domain by a (bucket, bucket, element)
-// triple, so its position vector is recovered by sorting packed 64-bit keys
-// in the workspace's reusable buffers. Zero allocations on a warm workspace
-// for n < 2^21; beyond that it falls back to FHausViaRefinement.
+// characterization, computed without materializing the refinements: the
+// cell walk sums each witness pair's footrule block by block (walkCells).
+// Zero allocations on a warm workspace.
 func (ws *Workspace) FHaus(a, b *ranking.PartialRanking) (int64, error) {
 	if err := ranking.CheckSameDomain(a, b); err != nil {
 		return 0, err
 	}
-	n := a.N()
 	tFHaus.Inc()
-	if n >= maxPackedN {
-		tFHausFallback.Inc()
-		return FHausViaRefinement(a, b)
-	}
-	if n < 2 {
-		return 0, nil
-	}
-	aof, bof := a.BucketIndices(), b.BucketIndices()
-	ta, tb := a.NumBuckets(), b.NumBuckets()
-	keys := ws.u64(n)
-	ranks := ws.rank32(n)
-
-	// Witness pair 1 (Theorem 5, rho = identity):
-	//	sigma1 = rho*tauR*sigma orders by (sigma-bucket, reversed-tau-bucket, id)
-	//	tau1   = rho*sigma*tau  orders by (tau-bucket, sigma-bucket, id)
-	f1 := witnessFootrule(keys, ranks, aof, bof, tb-1, false)
-	// Witness pair 2:
-	//	sigma2 = rho*tau*sigma  orders by (sigma-bucket, tau-bucket, id)
-	//	tau2   = rho*sigmaR*tau orders by (tau-bucket, reversed-sigma-bucket, id)
-	f2 := witnessFootrule(keys, ranks, aof, bof, ta-1, true)
-	return max64(f1, f2), nil
+	s := ws.walkCells(a, b)
+	return max64(s.f1, s.f2), nil
 }
 
-// witnessFootrule computes F(sigma_w, tau_w) for one Theorem 5 witness pair.
-// The secondary sort key of exactly one side is reversed: for pair 1 the
-// sigma-side refines by tauR (rev indexes bof), for pair 2 the tau-side
-// refines by sigmaR (rev indexes aof, selected by revOnTau). Positions in a
-// full ranking are its sort ranks, so F is the L1 distance of the two rank
-// vectors.
-func witnessFootrule(keys []uint64, ranks []int32, aof, bof []int, rev int, revOnTau bool) int64 {
-	const (
-		shift1 = 42
-		shift2 = 21
-		mask   = uint64(1<<21 - 1)
-	)
-	n := len(aof)
-	for e := 0; e < n; e++ {
-		second := bof[e]
-		if !revOnTau {
-			second = rev - second
-		}
-		keys[e] = uint64(aof[e])<<shift1 | uint64(second)<<shift2 | uint64(e)
-	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		ranks[k&mask] = int32(i)
-	}
-	for e := 0; e < n; e++ {
-		second := aof[e]
-		if revOnTau {
-			second = rev - second
-		}
-		keys[e] = uint64(bof[e])<<shift1 | uint64(second)<<shift2 | uint64(e)
-	}
-	slices.Sort(keys)
-	var f int64
-	for i, k := range keys {
-		d := int64(i) - int64(ranks[k&mask])
-		if d < 0 {
-			d = -d
-		}
-		f += d
-	}
-	return f
-}
-
-// Distances computes all four paper metrics in a single pair-classification
-// pass plus one position sweep and one witness kernel — the batched
-// counterpart of calling KProf, FProf, KHaus, and FHaus separately. Zero
-// allocations on a warm workspace.
+// Distances computes all four paper metrics from one cell walk plus one
+// position sweep — the batched counterpart of calling KProf, FProf, KHaus,
+// and FHaus separately. Zero allocations on a warm workspace.
 func (ws *Workspace) Distances(a, b *ranking.PartialRanking) (AllDistances, error) {
-	pc, err := ws.CountPairs(a, b)
-	if err != nil {
+	if err := ranking.CheckSameDomain(a, b); err != nil {
 		return AllDistances{}, err
 	}
-	d := AllDistances{KProf: KProfFromCounts(pc), KHaus: KHausFromCounts(pc)}
+	tCountPairs.Inc()
+	tFHaus.Inc()
+	s := ws.walkCells(a, b)
+	pc := s.pairCounts(a.N())
 	f2, err := ws.FProf2(a, b)
 	if err != nil {
 		return AllDistances{}, err
 	}
-	d.FProf = float64(f2) / 2
-	if d.FHaus, err = ws.FHaus(a, b); err != nil {
-		return AllDistances{}, err
-	}
-	return d, nil
+	return AllDistances{
+		KProf: KProfFromCounts(pc),
+		FProf: float64(f2) / 2,
+		KHaus: KHausFromCounts(pc),
+		FHaus: max64(s.f1, s.f2),
+	}, nil
 }
 
 // Gamma returns the Goodman-Kruskal gamma association, or ErrGammaUndefined

@@ -11,8 +11,10 @@ import (
 
 // workspacePairCases yields the pair workloads the kernels must agree on:
 // Mallows(theta) full-ranking ensembles at several dispersions, random
-// bucket orders, heavily-tied orders (buckets up to half the domain), and
-// degenerate shapes (single bucket, identity, reverse, top-k lists).
+// bucket orders, heavily-tied orders (buckets up to half the domain),
+// degenerate shapes (single bucket, identity, reverse, top-k lists), and the
+// shapes the server computes on (10-bucket and 6-value catalog lists, and a
+// full ranking against a 10-bucket list), each in both argument orders.
 func workspacePairCases(t *testing.T) [][2]*ranking.PartialRanking {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -43,6 +45,15 @@ func workspacePairCases(t *testing.T) [][2]*ranking.PartialRanking {
 		)
 		id := identityRanking(n)
 		cases = append(cases, [2]*ranking.PartialRanking{id, id.Reverse()})
+	}
+	churn, center := randrank.MallowsPartialEnsemble(rng, 300, 16, 0.1, 10)
+	catalog := randrank.CatalogEnsemble(rng, 1000, 16, 6, 1, 0.05).Rankings
+	for _, p := range [][2]*ranking.PartialRanking{
+		{churn[0], churn[1]}, {churn[2], churn[3]},
+		{catalog[0], catalog[1]}, {catalog[2], catalog[3]},
+		{center, churn[4]}, {randrank.Full(rng, 300), churn[5]},
+	} {
+		cases = append(cases, p, [2]*ranking.PartialRanking{p[1], p[0]})
 	}
 	return cases
 }
@@ -130,11 +141,20 @@ func TestWorkspaceKernelsMatchAllocatingPaths(t *testing.T) {
 }
 
 // TestWorkspaceKernelsMatchNaive pins the workspace engine to the O(n^2)
-// classifier on small exhaustively-random instances, independently of the
-// other fast engines.
+// classifier on every workspacePairCases pair and on small random
+// instances, independently of the other fast engines.
 func TestWorkspaceKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace()
+	for ci, c := range workspacePairCases(t) {
+		want, err := CountPairsNaive(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := ws.CountPairs(c[0], c[1]); got != want {
+			t.Errorf("case %d (n=%d): ws.CountPairs = %+v, naive %+v", ci, c[0].N(), got, want)
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(12)
 		a := randrank.Partial(rng, n, 1+rng.Intn(n))

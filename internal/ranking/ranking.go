@@ -21,6 +21,7 @@ package ranking
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -46,6 +47,16 @@ type PartialRanking struct {
 // buckets. The buckets must form a partition of the domain: every element
 // exactly once, no empty buckets. The input slices are copied.
 func FromBuckets(n int, buckets [][]int) (*PartialRanking, error) {
+	owned := make([][]int, len(buckets))
+	for bi, b := range buckets {
+		owned[bi] = slices.Clone(b)
+	}
+	return fromOwnedBuckets(n, owned)
+}
+
+// fromOwnedBuckets is FromBuckets on buckets the ranking keeps: it validates
+// them and sorts each one in place.
+func fromOwnedBuckets(n int, buckets [][]int) (*PartialRanking, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("ranking: negative domain size %d", n)
 	}
@@ -71,17 +82,14 @@ func FromBuckets(n int, buckets [][]int) (*PartialRanking, error) {
 	}
 	pr := &PartialRanking{
 		n:        n,
-		buckets:  make([][]int, len(buckets)),
+		buckets:  buckets,
 		bucketOf: make([]int, n),
 		pos2:     make([]int64, len(buckets)),
 	}
 	var before int64
 	for bi, b := range buckets {
-		cp := make([]int, len(b))
-		copy(cp, b)
-		sort.Ints(cp)
-		pr.buckets[bi] = cp
-		for _, e := range cp {
+		sort.Ints(b)
+		for _, e := range b {
 			pr.bucketOf[e] = bi
 		}
 		pr.pos2[bi] = 2*before + int64(len(b)) + 1
@@ -102,13 +110,14 @@ func MustFromBuckets(n int, buckets [][]int) *PartialRanking {
 
 // FromOrder builds a full ranking from a permutation listed best-first:
 // order[0] is the top element, order[len-1] the bottom. Every bucket is a
-// singleton.
+// singleton, a cap-limited subslice of one copy of order.
 func FromOrder(order []int) (*PartialRanking, error) {
-	buckets := make([][]int, len(order))
-	for i, e := range order {
-		buckets[i] = []int{e}
+	elems := slices.Clone(order)
+	buckets := make([][]int, len(elems))
+	for i := range elems {
+		buckets[i] = elems[i : i+1 : i+1]
 	}
-	return FromBuckets(len(order), buckets)
+	return fromOwnedBuckets(len(elems), buckets)
 }
 
 // MustFromOrder is FromOrder that panics on invalid input.
@@ -137,12 +146,10 @@ func FromScores(scores []float64) *PartialRanking {
 		for j < n && scores[idx[j]] == scores[idx[i]] {
 			j++
 		}
-		b := make([]int, j-i)
-		copy(b, idx[i:j])
-		buckets = append(buckets, b)
+		buckets = append(buckets, idx[i:j:j])
 		i = j
 	}
-	pr, err := FromBuckets(n, buckets)
+	pr, err := fromOwnedBuckets(n, buckets)
 	if err != nil {
 		// Unreachable: the construction above always yields a partition.
 		panic(err)
@@ -162,6 +169,9 @@ func TopKList(n, k int, order []int) (*PartialRanking, error) {
 		return nil, fmt.Errorf("ranking: order has %d elements, need at least k=%d", len(order), k)
 	}
 	inTop := make([]bool, n)
+	// Every bucket is a cap-limited subslice of elems, which never grows
+	// past its capacity n.
+	elems := make([]int, 0, n)
 	buckets := make([][]int, 0, k+1)
 	for i := 0; i < k; i++ {
 		e := order[i]
@@ -172,18 +182,18 @@ func TopKList(n, k int, order []int) (*PartialRanking, error) {
 			return nil, fmt.Errorf("ranking: element %d appears twice in top-k", e)
 		}
 		inTop[e] = true
-		buckets = append(buckets, []int{e})
+		elems = append(elems, e)
+		buckets = append(buckets, elems[i:i+1:i+1])
 	}
 	if k < n {
-		bottom := make([]int, 0, n-k)
 		for e := 0; e < n; e++ {
 			if !inTop[e] {
-				bottom = append(bottom, e)
+				elems = append(elems, e)
 			}
 		}
-		buckets = append(buckets, bottom)
+		buckets = append(buckets, elems[k:n:n])
 	}
-	return FromBuckets(n, buckets)
+	return fromOwnedBuckets(n, buckets)
 }
 
 // N returns the domain size.

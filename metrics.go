@@ -162,9 +162,8 @@ func DistanceMatrixWith(rankings []*PartialRanking, d RankingDistanceWS) ([][]fl
 // CompareAll computes the full symmetric matrix of AllDistances for an
 // ensemble — all four paper metrics for every pair — in one batched
 // parallel pass with per-worker workspace reuse. It is the ensemble entry
-// point for middleware-scale workloads: m rankings cost one pair
-// classification plus one witness kernel per pair and O(workers) scratch
-// allocations total.
+// point for middleware-scale workloads: m rankings cost one bucket-cell walk
+// and one position sweep per pair and O(workers) scratch allocations total.
 func CompareAll(rankings []*PartialRanking) ([][]AllDistances, error) {
 	return metrics.CompareAll(rankings)
 }
