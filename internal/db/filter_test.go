@@ -3,6 +3,8 @@ package db
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/ranking"
 )
 
 func TestFilterConditions(t *testing.T) {
@@ -162,6 +164,32 @@ WN4,199.99,1,southwest
 	}
 	if res.Keys[0] != "WN4" {
 		t.Errorf("cheapest = %q", res.Keys[0])
+	}
+}
+
+// TestIndexScanNaNCell loads a float column with a "NaN" cell, which
+// strconv.ParseFloat accepts, and scans it: the NaN row ties alone ahead of
+// every number in both directions, where the scan used to never return.
+func TestIndexScanNaNCell(t *testing.T) {
+	data := "name,price\nA,2\nB,NaN\nC,1\nD,-0\nE,0\n"
+	tbl, err := LoadCSV("t", strings.NewReader(data), "name", map[string]ColumnType{"price": FloatCol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir  Direction
+		want [][]int
+	}{
+		{Ascending, [][]int{{1}, {3, 4}, {2}, {0}}},
+		{Descending, [][]int{{1}, {0}, {2}, {3, 4}}},
+	} {
+		pr, err := tbl.IndexScan(Preference{Column: "price", Direction: c.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ranking.MustFromBuckets(5, c.want); !pr.Equal(want) {
+			t.Errorf("direction %v: IndexScan = %v, want %v", c.dir, pr, want)
+		}
 	}
 }
 

@@ -30,55 +30,74 @@ type token struct {
 	col  int
 }
 
-// appendFields appends seg's whitespace-separated fields to dst, recording
-// each field's column relative to a segment starting at byte offset base.
-// The splitting matches strings.Fields (any unicode whitespace separates).
-func appendFields(dst []token, seg string, base int) []token {
-	i := 0
-	for i < len(seg) {
-		r, w := utf8.DecodeRuneInString(seg[i:])
-		if unicode.IsSpace(r) {
-			i += w
-			continue
-		}
-		start := i
-		for i < len(seg) {
-			r, w := utf8.DecodeRuneInString(seg[i:])
-			if unicode.IsSpace(r) {
-				break
-			}
-			i += w
-		}
-		dst = append(dst, token{name: seg[start:i], col: base + start + 1})
-	}
-	return dst
+// lineParser is the scratch one parse reuses for every line: the line's
+// tokens with the end of each bucket's run, and, for ParseLinesWith, a mark
+// per domain ID (the line that last named it and where) that finds repeated
+// names without a map.
+type lineParser struct {
+	toks  []token
+	ends  []int // ends[b]: index past bucket b's last token in toks
+	ids   []int // the line's IDs, in token order
+	marks []mark
 }
 
-// tokenizeLine splits a text-codec line into buckets of (name, column)
-// tokens. The only structural defect detectable at this stage is an empty
-// bucket, reported with the 1-based column where the bucket starts.
-func tokenizeLine(line string) (buckets [][]token, emptyAt int) {
-	offset := 0
-	rest := line
-	for {
-		end := len(rest)
-		for k := 0; k < len(rest); k++ {
-			if rest[k] == '|' {
-				end = k
-				break
+type mark struct{ line, col int }
+
+// tokenize splits a text-codec line into p.toks and p.ends in one pass. Names
+// are split on unicode whitespace as strings.Fields splits them, decoding a
+// rune only at bytes >= utf8.RuneSelf; '|' never occurs inside a UTF-8
+// sequence, so it always ends a bucket. The only structural defect found here
+// is an empty bucket, reported as the 1-based column where it starts.
+func (p *lineParser) tokenize(line string) (emptyAt int) {
+	p.toks, p.ends = p.toks[:0], p.ends[:0]
+	// Where the current bucket starts (byte offset and first token) and
+	// where the current name starts (byte offset, -1 between names).
+	bucket, first, name := 0, 0, -1
+	for i := 0; i <= len(line); {
+		c, w, space := rune('|'), 1, false // the line's end closes its last bucket
+		if i < len(line) {
+			c = rune(line[i])
+			if c < utf8.RuneSelf {
+				space = c == ' ' || '\t' <= c && c <= '\r'
+			} else {
+				c, w = utf8.DecodeRuneInString(line[i:])
+				space = unicode.IsSpace(c)
 			}
 		}
-		toks := appendFields(nil, rest[:end], offset)
-		if len(toks) == 0 {
-			return nil, offset + 1
+		if c == '|' || space {
+			if name >= 0 {
+				p.toks = append(p.toks, token{name: line[name:i], col: name + 1})
+				name = -1
+			}
+			if c == '|' {
+				if len(p.toks) == first {
+					return bucket + 1
+				}
+				p.ends = append(p.ends, len(p.toks))
+				bucket, first = i+1, len(p.toks)
+			}
+		} else if name < 0 {
+			name = i
 		}
-		buckets = append(buckets, toks)
-		if end == len(rest) {
-			return buckets, 0
-		}
-		offset += end + 1
-		rest = rest[end+1:]
+		i += w
 	}
+	return 0
+}
+
+// buckets cuts elems, the line's IDs in token order, into its buckets as
+// cap-limited subslices; IDs past the line's last token form one more,
+// bottom, bucket.
+func (p *lineParser) buckets(elems []int) [][]int {
+	out := make([][]int, 0, len(p.ends)+1)
+	start := 0
+	for _, end := range p.ends {
+		out = append(out, elems[start:end:end])
+		start = end
+	}
+	if start < len(elems) {
+		out = append(out, elems[start:len(elems):len(elems)])
+	}
+	return out
 }
 
 // ParseText parses a single ranking line ("a b | c | d e") against dom,
@@ -91,20 +110,16 @@ func tokenizeLine(line string) (buckets [][]token, emptyAt int) {
 // are rolled back before the error is returned, so a rejected line never
 // pollutes a shared domain.
 func ParseText(dom *Domain, line string) (*PartialRanking, error) {
-	buckets, emptyAt := tokenizeLine(line)
-	if emptyAt > 0 {
+	var p lineParser
+	if p.tokenize(line) > 0 {
 		return nil, fmt.Errorf("ranking: empty bucket in %q", line)
 	}
 	before := dom.Size()
-	idBuckets := make([][]int, len(buckets))
-	for bi, b := range buckets {
-		ids := make([]int, 0, len(b))
-		for _, tok := range b {
-			ids = append(ids, dom.Intern(tok.name))
-		}
-		idBuckets[bi] = ids
+	elems := make([]int, len(p.toks))
+	for i, tok := range p.toks {
+		elems[i] = dom.Intern(tok.name)
 	}
-	pr, err := FromBuckets(dom.Size(), idBuckets)
+	pr, err := fromOwnedBuckets(dom.Size(), p.buckets(elems))
 	if err != nil {
 		dom.truncate(before)
 		return nil, err

@@ -50,6 +50,15 @@ func (d *Domain) Intern(name string) int {
 	return id
 }
 
+// reserve sizes an empty domain's tables for n names, so a parse does not
+// grow them name by name while its first line fixes the domain.
+func (d *Domain) reserve(n int) {
+	if len(d.names) == 0 && cap(d.names) < n {
+		d.names = make([]string, 0, n)
+		d.index = make(map[string]int, n)
+	}
+}
+
 // truncate rolls the domain back to its first size names, forgetting every
 // name interned after that point. The codec uses it to undo the interning of
 // a line that failed validation, so a rejected parse leaves the shared

@@ -58,6 +58,7 @@ func ParseLinesWith(r io.Reader, opts ParseOptions) ([]*PartialRanking, *Domain,
 	report := guard.NewErrorList(opts.Limits.DefectCap())
 	var out []*PartialRanking
 	lr := newLineReader(r, opts.Limits.MaxLineBytes)
+	var p lineParser
 	firstN := -1 // domain size fixed by the first kept ranking
 	for {
 		line, lineNo, tooLong, err := lr.next()
@@ -88,7 +89,7 @@ func ParseLinesWith(r io.Reader, opts ParseOptions) ([]*PartialRanking, *Domain,
 			report.Addf(lineNo, 0, "ranking limit %d reached; remaining input dropped", opts.Limits.MaxRankings)
 			break
 		}
-		pr, d := parseGuardedLine(dom, trimmed, lineNo, firstN, opts)
+		pr, d := p.parse(dom, trimmed, lineNo, firstN, opts)
 		if d != nil {
 			if !opts.Lenient {
 				return nil, nil, nil, fmt.Errorf("ranking: %s", d.String())
@@ -108,76 +109,78 @@ func ParseLinesWith(r io.Reader, opts ParseOptions) ([]*PartialRanking, *Domain,
 	return out, dom, report, nil
 }
 
-// parseGuardedLine parses one trimmed, non-comment line against the shared
-// domain under the admission limits. It returns the parsed (possibly
-// repaired) ranking and/or a defect:
+// parse parses one trimmed, non-comment line against the shared domain under
+// the admission limits. It returns the parsed (possibly repaired) ranking
+// and/or a defect:
 //
 //	pr != nil, d == nil: clean line
 //	pr != nil, d != nil: repaired line (lenient CompleteBottom); d.Repaired set
 //	pr == nil, d != nil: defective line, dropped; the domain is rolled back
 //
 // firstN < 0 means no ranking has fixed the domain yet, so this line is the
-// candidate domain-fixer.
-func parseGuardedLine(dom *Domain, line string, lineNo, firstN int, opts ParseOptions) (*PartialRanking, *guard.Defect) {
-	buckets, emptyAt := tokenizeLine(line)
-	if emptyAt > 0 {
+// candidate domain-fixer. The checks run in a fixed order: empty bucket,
+// bucket limit, first repeated name in line order, first name outside the
+// fixed domain, element limit, coverage. A kept line's IDs, its completed
+// bottom bucket included, are copied into one array that the ranking keeps
+// as cap-limited bucket subslices; the rest is scratch reused across lines.
+func (p *lineParser) parse(dom *Domain, line string, lineNo, firstN int, opts ParseOptions) (*PartialRanking, *guard.Defect) {
+	if emptyAt := p.tokenize(line); emptyAt > 0 {
 		return nil, &guard.Defect{Line: lineNo, Col: emptyAt, Msg: "empty bucket"}
 	}
-	if !opts.Limits.BucketsOK(len(buckets)) {
-		return nil, &guard.Defect{Line: lineNo, Msg: fmt.Sprintf("ranking has %d buckets, limit %d", len(buckets), opts.Limits.MaxBuckets)}
+	if !opts.Limits.BucketsOK(len(p.ends)) {
+		return nil, &guard.Defect{Line: lineNo, Msg: fmt.Sprintf("ranking has %d buckets, limit %d", len(p.ends), opts.Limits.MaxBuckets)}
 	}
+	dom.reserve(len(p.toks))
 	before := dom.Size()
-	seen := make(map[string]int, 8)
-	total := 0
-	var firstNew token
-	idBuckets := make([][]int, len(buckets))
-	for bi, b := range buckets {
-		ids := make([]int, 0, len(b))
-		for _, tok := range b {
-			if col, dup := seen[tok.name]; dup {
-				dom.truncate(before)
-				return nil, &guard.Defect{Line: lineNo, Col: tok.col, Msg: fmt.Sprintf("element %q already appeared at col %d", tok.name, col)}
-			}
-			seen[tok.name] = tok.col
-			preSize := dom.Size()
-			id := dom.Intern(tok.name)
-			if id >= preSize && firstNew.name == "" {
-				firstNew = tok
-			}
-			ids = append(ids, id)
-			total++
+	firstNew := -1 // index in p.toks of the first name new to the domain
+	p.ids = p.ids[:0]
+	for ti, tok := range p.toks {
+		id := dom.Intern(tok.name)
+		if id == len(p.marks) {
+			p.marks = append(p.marks, mark{})
 		}
-		idBuckets[bi] = ids
+		// Physical line numbers are positive and never repeat, so a zero or
+		// stale mark (an ID a dropped line interned) never matches.
+		m := &p.marks[id]
+		if m.line == lineNo {
+			dom.truncate(before)
+			return nil, &guard.Defect{Line: lineNo, Col: tok.col, Msg: fmt.Sprintf("element %q already appeared at col %d", tok.name, m.col)}
+		}
+		*m = mark{line: lineNo, col: tok.col}
+		if id >= before && firstNew < 0 {
+			firstNew = ti
+		}
+		p.ids = append(p.ids, id)
 	}
 	if firstN >= 0 && dom.Size() > firstN {
 		dom.truncate(before)
-		return nil, &guard.Defect{Line: lineNo, Col: firstNew.col, Msg: fmt.Sprintf("element %q not in the first ranking's domain", firstNew.name)}
+		tok := p.toks[firstNew]
+		return nil, &guard.Defect{Line: lineNo, Col: tok.col, Msg: fmt.Sprintf("element %q not in the first ranking's domain", tok.name)}
 	}
 	if !opts.Limits.ElementsOK(dom.Size()) {
 		dom.truncate(before)
 		return nil, &guard.Defect{Line: lineNo, Msg: fmt.Sprintf("domain exceeds %d elements", opts.Limits.MaxElements)}
 	}
-	n := dom.Size()
+	n, total := dom.Size(), len(p.ids)
+	if total < n && (!opts.Lenient || opts.Repair != guard.CompleteBottom) {
+		// The line covers a strict subset of the fixed domain.
+		return nil, &guard.Defect{Line: lineNo, Msg: fmt.Sprintf("covers %d of %d domain elements", total, n)}
+	}
+	elems := append(make([]int, 0, n), p.ids...)
 	var repaired *guard.Defect
 	if total < n {
-		// The line covers a strict subset of the fixed domain.
-		if !opts.Lenient || opts.Repair != guard.CompleteBottom {
-			return nil, &guard.Defect{Line: lineNo, Msg: fmt.Sprintf("covers %d of %d domain elements", total, n)}
-		}
-		bottom := make([]int, 0, n-total)
 		for id := 0; id < n; id++ {
-			if _, ok := seen[dom.Name(id)]; !ok {
-				bottom = append(bottom, id)
+			if p.marks[id].line != lineNo {
+				elems = append(elems, id)
 			}
 		}
-		idBuckets = append(idBuckets, bottom)
 		repaired = &guard.Defect{
 			Line:     lineNo,
-			Msg:      fmt.Sprintf("covers %d of %d domain elements; completed %d missing into a bottom bucket", total, n, len(bottom)),
+			Msg:      fmt.Sprintf("covers %d of %d domain elements; completed %d missing into a bottom bucket", total, n, n-total),
 			Repaired: true,
 		}
 	}
-	pr, err := FromBuckets(n, idBuckets)
+	pr, err := fromOwnedBuckets(n, p.buckets(elems))
 	if err != nil {
 		// Unreachable in practice: duplicates, coverage, and range defects
 		// are all caught above. Kept as a belt for future codec changes.
@@ -205,7 +208,7 @@ func newLineReader(r io.Reader, max int) *lineReader {
 // input, or the underlying reader's error.
 func (lr *lineReader) next() (line string, lineNo int, tooLong bool, err error) {
 	lr.lineNo++
-	var buf []byte
+	var buf []byte // a line longer than the reader's buffer, so far
 	for {
 		frag, ferr := lr.br.ReadSlice('\n')
 		if lr.max > 0 && len(buf)+len(frag) > lr.max+1 { // +1 for the newline
@@ -215,17 +218,21 @@ func (lr *lineReader) next() (line string, lineNo int, tooLong bool, err error) 
 			}
 			return "", lr.lineNo, true, nil
 		}
-		buf = append(buf, frag...)
+		if ferr == bufio.ErrBufferFull {
+			buf = append(buf, frag...)
+			continue
+		}
+		if buf != nil {
+			frag = append(buf, frag...)
+		}
 		switch ferr {
 		case nil:
-			return trimEOL(buf), lr.lineNo, false, nil
-		case bufio.ErrBufferFull:
-			continue
+			return trimEOL(frag), lr.lineNo, false, nil
 		case io.EOF:
-			if len(buf) == 0 {
+			if len(frag) == 0 {
 				return "", lr.lineNo, false, io.EOF
 			}
-			return trimEOL(buf), lr.lineNo, false, nil
+			return trimEOL(frag), lr.lineNo, false, nil
 		default:
 			return "", lr.lineNo, false, ferr
 		}

@@ -19,6 +19,7 @@
 package ranking
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -132,18 +133,20 @@ func MustFromOrder(order []int) *PartialRanking {
 // FromScores builds the partial ranking induced by a score function: elements
 // are ordered by ascending score, and elements with exactly equal scores are
 // tied in one bucket. This is the "f-bar" construction of Section 6 of the
-// paper (a function f: D -> R naturally defines a partial ranking).
+// paper (a function f: D -> R naturally defines a partial ranking). Scores
+// are ordered as cmp.Compare orders them: -0 ties +0, and every NaN ties
+// every other NaN in one bucket ahead of all numbers.
 func FromScores(scores []float64) *PartialRanking {
 	n := len(scores)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(scores[a], scores[b]) })
 	var buckets [][]int
 	for i := 0; i < n; {
-		j := i
-		for j < n && scores[idx[j]] == scores[idx[i]] {
+		j := i + 1
+		for j < n && cmp.Compare(scores[idx[j]], scores[idx[i]]) == 0 {
 			j++
 		}
 		buckets = append(buckets, idx[i:j:j])

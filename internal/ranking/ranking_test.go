@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -79,6 +80,21 @@ func TestFromScores(t *testing.T) {
 	want := MustFromBuckets(4, [][]int{{1}, {3}, {0, 2}})
 	if !pr.Equal(want) {
 		t.Errorf("FromScores = %v, want %v", pr, want)
+	}
+}
+
+// TestFromScoresSpecialValues pins FromScores on the floats equality does not
+// order: every NaN ties in one bucket ahead of -Inf (a NaN used to make the
+// grouping loop append empty buckets forever), and -0 ties +0.
+func TestFromScoresSpecialValues(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	pr := FromScores([]float64{1, nan, 0, inf, -inf, nan, negZero, 0})
+	want := MustFromBuckets(8, [][]int{{1, 5}, {4}, {2, 6, 7}, {0}, {3}})
+	if !pr.Equal(want) {
+		t.Errorf("FromScores = %v, want %v", pr, want)
+	}
+	if pr := FromScores([]float64{nan, nan}); !pr.Equal(MustFromBuckets(2, [][]int{{0, 1}})) {
+		t.Errorf("FromScores(NaN, NaN) = %v, want one bucket", pr)
 	}
 }
 
