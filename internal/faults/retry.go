@@ -85,7 +85,7 @@ type retrySource struct {
 	// a backoff sleep, so retries on one list do not serialize the others;
 	// single-goroutine runs draw the exact same jitter sequence as before.
 	mu   sync.Mutex
-	rng  *rand.Rand
+	rng  *rand.Rand // seeded on the first backoff; nil until then
 	dead bool
 }
 
@@ -107,7 +107,6 @@ func WithRetry(src Source, pol RetryPolicy, acc *telemetry.AccessAccountant, lis
 	return &retrySource{
 		src:  src,
 		pol:  pol,
-		rng:  rand.New(rand.NewSource(pol.JitterSeed)),
 		acc:  acc,
 		list: list,
 	}
@@ -162,7 +161,13 @@ func (r *retrySource) do(ctx context.Context, op func() error) error {
 			return fmt.Errorf("%w (after %d attempts: %v)", ErrSourceDead, attempt, err)
 		}
 		// Jittered backoff in [delay/2, delay]: deterministic given the seed.
+		// Most wrapped lists never back off, so the source (about 5 KB, and
+		// most of the cost of a wrapper) is seeded on the first backoff; the
+		// draws are the ones an eagerly seeded source would make.
 		r.mu.Lock()
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(r.pol.JitterSeed))
+		}
 		d := delay/2 + time.Duration(r.rng.Int63n(int64(delay/2)+1))
 		r.mu.Unlock()
 		if err := r.pol.Sleeper.Sleep(ctx, d); err != nil {

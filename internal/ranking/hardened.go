@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"repro/internal/guard"
 	"repro/internal/telemetry"
@@ -58,6 +59,7 @@ func ParseLinesWith(r io.Reader, opts ParseOptions) ([]*PartialRanking, *Domain,
 	report := guard.NewErrorList(opts.Limits.DefectCap())
 	var out []*PartialRanking
 	lr := newLineReader(r, opts.Limits.MaxLineBytes)
+	defer lr.close()
 	var p lineParser
 	firstN := -1 // domain size fixed by the first kept ranking
 	for {
@@ -199,8 +201,23 @@ type lineReader struct {
 	lineNo int
 }
 
-func newLineReader(r io.Reader, max int) *lineReader {
-	return &lineReader{br: bufio.NewReaderSize(r, 64*1024), max: max}
+// lineReaders keeps the 64 KiB read buffers between parses, so a four-line
+// POST pays for its lines, not for a buffer sized for a catalog.
+var lineReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
+
+// newLineReader reads r through a pooled buffer; close returns it.
+func newLineReader(r io.Reader, max int) lineReader {
+	br := lineReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return lineReader{br: br, max: max}
+}
+
+// close hands the buffer back to the pool. Lines already returned are copies
+// (trimEOL), so none of them aliases it; lr must not be read again.
+func (lr *lineReader) close() {
+	lr.br.Reset(nil)
+	lineReaders.Put(lr.br)
+	lr.br = nil
 }
 
 // next returns the next line and its 1-based number. tooLong reports a line

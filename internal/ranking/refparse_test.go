@@ -23,9 +23,10 @@ func refParseLinesWith(r io.Reader, opts ParseOptions) ([]*PartialRanking, *Doma
 	report := guard.NewErrorList(opts.Limits.DefectCap())
 	var out []*PartialRanking
 	lr := newLineReader(r, opts.Limits.MaxLineBytes)
+	defer lr.close()
 	firstN := -1
 	for {
-		line, lineNo, tooLong, err := refNextLine(lr)
+		line, lineNo, tooLong, err := refNextLine(&lr)
 		if err == io.EOF {
 			break
 		}

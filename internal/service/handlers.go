@@ -321,12 +321,13 @@ func (s *Service) newMux() *http.ServeMux {
 // instead of writing it, so the rim can render, count, and time uniformly.
 type apiHandler func(w http.ResponseWriter, r *http.Request) (any, *apiError)
 
+// writeJSON renders v as compact JSON, one value per body ending in a
+// newline. Indenting would re-scan every encoded answer for whitespace no
+// client reads.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // parseModeOptions reads the ?mode= and ?repair= ingestion query params.

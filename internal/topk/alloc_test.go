@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/randrank"
@@ -18,18 +19,19 @@ func engineShape() []*ranking.PartialRanking {
 }
 
 // engineSpecs are the engines the ceilings pin, each with its allocations
-// per run at k=10 with telemetry off. No engine allocates per probe or per
-// round: a run allocates its state, its row slabs and the growth of its logs.
+// per warm run at k=10 with telemetry off. No engine allocates per probe or
+// per round, and a run takes its state from the pooled workspace: a warm run
+// allocates its sources, its accountant and its answer.
 var engineSpecs = []struct {
 	name    string
 	spec    Spec
 	ceiling float64
 }{
-	{"medrank_roundrobin", Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobin}, 146},
-	{"medrank_merge", Spec{Algo: AlgoMedRank, K: 10, Policy: GlobalMerge}, 146},
-	{"ta", Spec{Algo: AlgoTA, K: 10}, 76},
-	{"nra", Spec{Algo: AlgoNRA, K: 10}, 134},
-	{"ca_ratio10", Spec{Algo: AlgoCA, K: 10, CostRatio: 10}, 134},
+	{"medrank_roundrobin", Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobin}, 31},
+	{"medrank_merge", Spec{Algo: AlgoMedRank, K: 10, Policy: GlobalMerge}, 31},
+	{"ta", Spec{Algo: AlgoTA, K: 10}, 32},
+	{"nra", Spec{Algo: AlgoNRA, K: 10}, 32},
+	{"ca_ratio10", Spec{Algo: AlgoCA, K: 10, CostRatio: 10}, 32},
 }
 
 // setTelemetry switches gated telemetry on or off for the rest of the test
@@ -51,8 +53,16 @@ func setTelemetry(t testing.TB, on bool) {
 	}
 }
 
-// runAllocs is the mean allocation count of one run of spec over in under
-// ctx, sources and accountant included.
+// pauseGC stops the collector until the test ends. A collection empties
+// sync.Pool, so a measurement that spans two of them counts a cold run among
+// the warm runs it pins.
+func pauseGC(t testing.TB) {
+	was := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(was) })
+}
+
+// runAllocs is the mean allocation count of one warm run of spec over in
+// under ctx, sources and accountant included.
 func runAllocs(t *testing.T, ctx context.Context, in []*ranking.PartialRanking, spec Spec) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
@@ -71,6 +81,7 @@ func TestEngineAllocCeilings(t *testing.T) {
 		t.Skip("the race detector adds allocations")
 	}
 	setTelemetry(t, false)
+	pauseGC(t)
 	in := engineShape()
 	for _, c := range engineSpecs {
 		got := runAllocs(t, context.Background(), in, c.spec)
@@ -81,11 +92,13 @@ func TestEngineAllocCeilings(t *testing.T) {
 	}
 }
 
-// TestEngineBytesManyListsFewElements runs each engine over 8192 lists of two
-// elements. Position rows come from slabs that hold at most as many rows as
-// the domain has elements; 64-row slabs would add 4 MB of rows no element can
-// take to the 2.4 MB a run allocates here.
-func TestEngineBytesManyListsFewElements(t *testing.T) {
+// TestEngineBytesAllocCeiling runs each engine over 8192 lists of two
+// elements on a fresh workspace, so the bytes counted are the rows a run
+// carves, not rows a warm workspace hands out again. Position rows come from
+// slabs that hold at most as many rows as the domain has elements; 64-row
+// slabs would add 4 MB of rows no element can take to the 0.9–1.9 MB a cold
+// run allocates here.
+func TestEngineBytesAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
@@ -98,16 +111,86 @@ func TestEngineBytesManyListsFewElements(t *testing.T) {
 	for _, c := range engineSpecs {
 		spec := c.spec
 		spec.K = 1
+		acc := telemetry.NewAccessAccountant(m)
+		srcs := ListSources(in, acc, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := runSpec(in, spec, nil); err != nil {
+		if _, err := new(workspace).run(context.Background(), spec, srcs, acc); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: %d KiB per run", c.name, got>>10)
+		t.Logf("%s: %d KiB per cold run", c.name, got>>10)
 		if got > ceiling {
-			t.Errorf("%s: %d KiB per run, ceiling %d KiB", c.name, got>>10, ceiling>>10)
+			t.Errorf("%s: %d KiB per cold run, ceiling %d KiB", c.name, got>>10, ceiling>>10)
+		}
+	}
+}
+
+// servedSpecs are the engines the service runs, MEDRANK under its
+// GlobalMerge policy, at k=10, with their bytes per warm run on
+// overload-deadline's catalog (servedShapes' "2000x32x8"). Most of them are
+// the answer's top-k list over all 2000 elements; the engines' state comes
+// from the workspace. A cold run there allocated 1.1–1.3 MB before the
+// state was pooled.
+var servedSpecs = []struct {
+	name    string
+	spec    Spec
+	ceiling uint64
+}{
+	{"medrank_merge", Spec{Algo: AlgoMedRank, K: 10, Policy: GlobalMerge}, 43248},
+	{"ta", Spec{Algo: AlgoTA, K: 10}, 43288},
+	{"nra", Spec{Algo: AlgoNRA, K: 10}, 43400},
+	{"ca_ratio10", Spec{Algo: AlgoCA, K: 10, CostRatio: 10}, 43400},
+}
+
+// servedShapes are the top-k catalogs the repository benchmark serves:
+// topk-mixed's and overload-deadline's.
+func servedShapes() []struct {
+	name string
+	in   []*ranking.PartialRanking
+} {
+	return []struct {
+		name string
+		in   []*ranking.PartialRanking
+	}{
+		{"1000x16x6", randrank.CatalogEnsemble(rand.New(rand.NewSource(1)), 1000, 16, 6, 1, 0.05).Rankings},
+		{"2000x32x8", randrank.CatalogEnsemble(rand.New(rand.NewSource(1)), 2000, 32, 8, 1, 0.05).Rankings},
+	}
+}
+
+// TestEngineServedBytesAllocCeiling pins the bytes of one warm run of each
+// engine on overload-deadline's catalog: what a run allocates once the
+// workspace holds its state, sources and accountant included. Like
+// testing.AllocsPerRun it runs on one P: sync.Pool keeps a workspace per P,
+// so a run that moved to another P would start cold.
+func TestEngineServedBytesAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	setTelemetry(t, false)
+	pauseGC(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	in := servedShapes()[1].in
+	const runs = 20
+	for _, c := range servedSpecs {
+		run := func() {
+			acc := telemetry.NewAccessAccountant(len(in))
+			if _, err := Run(context.Background(), c.spec, ListSources(in, acc, nil), acc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the workspace
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per warm run", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %d bytes per warm run, ceiling %d", c.name, got, c.ceiling)
 		}
 	}
 }
@@ -121,6 +204,7 @@ func TestUnsampledTracingAllocCeiling(t *testing.T) {
 	}
 	const maxExtra = 9
 	setTelemetry(t, false)
+	pauseGC(t)
 	in := engineShape()
 	unsampled := telemetry.WithTrace(context.Background(), 1, false)
 	for _, c := range engineSpecs {

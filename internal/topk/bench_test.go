@@ -81,6 +81,26 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginesServed runs the engines the service runs (servedSpecs:
+// MEDRANK under GlobalMerge, TA, NRA, CA at ratio 10; k=10) on the top-k
+// catalogs the repository benchmark serves, topk-mixed's 1000×16×6 and
+// overload-deadline's 2000×32×8, telemetry off.
+func BenchmarkEnginesServed(b *testing.B) {
+	setTelemetry(b, false)
+	for _, sh := range servedShapes() {
+		for _, c := range servedSpecs {
+			b.Run(sh.name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := runSpec(sh.in, c.spec, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkEnginesWide runs each engine, k=5, on full Mallows rankings of the
 // overload CI job's shape (rankload -n 2400 -m 600 -k 5): concentrated at
 // θ=1.0, rankload's default, and flatter at θ=0.1, where certification reads

@@ -5,8 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
-	"sort"
+
+	"repro/internal/faults"
+	"repro/internal/telemetry"
 )
 
 // This file holds MEDRANK: the streaming median-rank top-k aggregation of
@@ -53,7 +54,9 @@ import (
 const ctxCheckStride = 1024
 
 // medrankRun carries the certification state of one MEDRANK run over the
-// current survivors, indexed by survivor slot.
+// current survivors, indexed by survivor slot. Its storage outlives the run:
+// reset readies it for the next run, or for a rebuild after a list death,
+// without allocating.
 type medrankRun struct {
 	n, m, k, needed int
 	frontier        frontiers  // per slot: doubled position of next unprobed entry
@@ -63,33 +66,38 @@ type medrankRun struct {
 	exactMed        []int64    // per element: exact doubled median, MaxInt64 if unknown
 	exactCount      int
 	probedDistinct  int
-	pending         []int            // probed, not yet exact or cleared
-	inPend          []bool           // membership in pending
-	cleared         []bool           // provably outside the top k
-	kSmall          kSmallest[int64] // k smallest exact medians
+	// pending holds the probed elements that are neither exact nor cleared,
+	// in probe order, as pending[head:]; certification drops elements from
+	// the front by moving head.
+	pending []int
+	head    int
+	inPend  []bool           // membership in pending
+	cleared []bool           // provably outside the top k
+	kSmall  kSmallest[int64] // k smallest exact medians
 }
 
-// newMedrankRun builds the certification state over one slot per frontier of
-// front, which it takes over; bits[li] is slot li's bitmap of yielded
-// elements.
-func newMedrankRun(n, k int, front []int64, bits [][]uint64) *medrankRun {
+// reset readies the state for a run over one slot per frontier of front;
+// bits[li] is slot li's bitmap of yielded elements. Both are copied.
+func (r *medrankRun) reset(n, k int, front []int64, bits [][]uint64) {
 	m := len(front)
-	r := &medrankRun{
-		n: n, m: m, k: k,
-		needed:   (m + 1) / 2, // index of the lower median
-		frontier: newFrontiers(front),
-		bits:     bits,
-		seen:     make([][]int64, n),
-		rows:     newRowSlab(n, m),
-		exactMed: make([]int64, n),
-		inPend:   make([]bool, n),
-		cleared:  make([]bool, n),
-		kSmall:   newKSmallest(k, cmp.Less[int64]),
-	}
+	r.n, r.m, r.k = n, m, k
+	r.needed = (m + 1) / 2 // index of the lower median
+	r.frontier.reset(front)
+	r.bits = append(r.bits[:0], bits...)
+	r.seen = resize(r.seen, n)
+	clear(r.seen)
+	r.rows.reset(n, m)
+	r.exactMed = resize(r.exactMed, n)
 	for e := range r.exactMed {
 		r.exactMed[e] = math.MaxInt64
 	}
-	return r
+	r.exactCount, r.probedDistinct = 0, 0
+	r.pending, r.head = r.pending[:0], 0
+	r.inPend = resize(r.inPend, n)
+	clear(r.inPend)
+	r.cleared = resize(r.cleared, n)
+	clear(r.cleared)
+	r.kSmall.init(k, cmp.Less[int64])
 }
 
 // has reports whether slot li has already yielded element e.
@@ -114,9 +122,21 @@ func (r *medrankRun) onProbed(e int) {
 		return
 	}
 	if !r.inPend[e] {
-		r.pending = append(r.pending, e)
+		r.enqueue(e)
 		r.inPend[e] = true
 	}
+}
+
+// enqueue appends e to pending. A full buffer whose live part fills at most
+// half of it slides that part to the front rather than growing, so the
+// buffer stays within twice the peak number of pending elements and each
+// element is moved O(1) times on average.
+func (r *medrankRun) enqueue(e int) {
+	if len(r.pending) == cap(r.pending) && r.head > 0 && 2*(len(r.pending)-r.head) <= cap(r.pending) {
+		r.pending = r.pending[:copy(r.pending, r.pending[r.head:])]
+		r.head = 0
+	}
+	r.pending = append(r.pending, e)
 }
 
 func (r *medrankRun) certified() bool {
@@ -130,15 +150,11 @@ func (r *medrankRun) certified() bool {
 	if r.probedDistinct < r.n && r.frontier.kth(r.needed) <= kth {
 		return false
 	}
-	// Examine pending elements; compact out the ones that are promoted,
-	// already exact, or cleared. Bail out at the first genuine blocker.
-	keep := r.pending[:0]
-	blocked := false
-	for idx, e := range r.pending {
-		if blocked {
-			keep = append(keep, r.pending[idx:]...)
-			break
-		}
+	// Examine pending elements from the front, dropping the ones that are
+	// promoted, already exact, or cleared. Stop at the first genuine
+	// blocker: it and everything after it stay pending, in order.
+	for ; r.head < len(r.pending); r.head++ {
+		e := r.pending[r.head]
 		if r.exactMed[e] != math.MaxInt64 || r.cleared[e] {
 			r.inPend[e] = false
 			continue
@@ -155,12 +171,10 @@ func (r *medrankRun) certified() bool {
 			kth = r.kSmall.max()
 			continue
 		}
-		// e genuinely blocks certification; keep it and everything after.
-		keep = append(keep, e)
-		blocked = true
+		return false // e genuinely blocks certification
 	}
-	r.pending = keep
-	return !blocked
+	r.pending, r.head = r.pending[:0], 0
+	return true
 }
 
 // replay registers a probed entry without touching the frontier.
@@ -208,46 +222,13 @@ func (r *medrankRun) medianLB(e int) int64 {
 	return r.frontier.kthMerged(r.seen[e], r.needed, r.bits, e)
 }
 
-// finalTopK ranks the exact elements by (median, element ID) and returns the
-// first k. By construction of certified(), every element that could precede
-// the k-th winner is exact.
-func (r *medrankRun) finalTopK() (winners []int, medians2 []int64) {
-	type cand struct {
-		e    int
-		med2 int64
-	}
-	cands := make([]cand, 0, r.exactCount)
-	for e := 0; e < r.n; e++ {
-		if r.exactMed[e] < math.MaxInt64 {
-			cands = append(cands, cand{e, r.exactMed[e]})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].med2 != cands[b].med2 {
-			return cands[a].med2 < cands[b].med2
-		}
-		return cands[a].e < cands[b].e
-	})
-	if len(cands) > r.k {
-		cands = cands[:r.k]
-	}
-	winners = make([]int, 0, len(cands))
-	for _, c := range cands {
-		winners = append(winners, c.e)
-		medians2 = append(medians2, c.med2)
-	}
-	return winners, medians2
-}
-
 // kthSmallest returns the k-th smallest (1-based) of xs without modifying
-// it. k must be in [1, len(xs)]. It sorts a copy, on the stack when xs is as
-// short as an ensemble usually is; the engines keep their per-probe orders
-// incrementally, so it runs only on a degraded run's winners.
+// it. k must be in [1, len(xs)]. It selects on a copy, on the stack when xs
+// is as short as an ensemble usually is; the engines keep their per-probe
+// orders incrementally, so it runs only on a degraded run's winners.
 func kthSmallest(xs []int64, k int) int64 {
 	var buf [64]int64
-	cp := append(buf[:0], xs...)
-	slices.Sort(cp)
-	return cp[k-1]
+	return selectKth(append(buf[:0], xs...), k)
 }
 
 // medrankDriver runs MEDRANK over the sources. It keeps a per-original-list
@@ -257,17 +238,25 @@ func kthSmallest(xs []int64, k int) int64 {
 // sources no list dies and the run is the plain streaming MEDRANK.
 type medrankDriver struct {
 	lists
-	n, k    int
-	merge   bool       // GlobalMerge*: probe the smallest frontier; else round-robin
-	buckets bool       // *Buckets policies: one probe reads a whole bucket
-	logs    [][]Entry  // per original list: every entry consumed from it
-	bits    [][]uint64 // per original list: bitmap of the elements it yielded
-	run     *medrankRun
-	rrNext  int
+	n, k     int
+	merge    bool       // GlobalMerge*: probe the smallest frontier; else round-robin
+	buckets  bool       // *Buckets policies: one probe reads a whole bucket
+	logs     [][]Entry  // per original list: every entry consumed from it
+	bits     [][]uint64 // per original list: bitmap of the elements it yielded
+	bitWords []uint64   // the bitmaps' storage
+	run      medrankRun
+	rrNext   int
+	front    []int64          // rebuild's survivor frontiers
+	slotBits [][]uint64       // rebuild's survivor bitmaps
+	sel      kSmallest[bound] // the answer's k best (median, element)
 }
 
-func newMedRankDriver(l lists, n, k int, policy Policy) (*medrankDriver, error) {
-	f := &medrankDriver{lists: l, n: n, k: k}
+// reset readies the driver for a run of MEDRANK under policy over sources,
+// keeping every buffer of its previous run.
+func (f *medrankDriver) reset(sources []faults.Source, acc *telemetry.AccessAccountant, n, k int, policy Policy) error {
+	f.lists.reset(sources, acc)
+	f.n, f.k = n, k
+	f.merge, f.buckets = false, false
 	switch policy {
 	case GlobalMerge:
 		f.merge = true
@@ -277,20 +266,27 @@ func newMedRankDriver(l lists, n, k int, policy Policy) (*medrankDriver, error) 
 	case RoundRobinBuckets:
 		f.buckets = true
 	default:
-		return nil, fmt.Errorf("topk: unknown policy %d", policy)
+		return fmt.Errorf("topk: unknown policy %d", policy)
 	}
-	m := len(l.sources)
-	f.logs = make([][]Entry, m)
-	f.bits = make([][]uint64, m)
+	m := len(sources)
+	f.logs = resize(f.logs, m)
+	for i := range f.logs {
+		f.logs[i] = f.logs[i][:0]
+	}
+	words := (n + 63) / 64
+	f.bitWords = resize(f.bitWords, m*words)
+	clear(f.bitWords)
+	f.bits = resize(f.bits, m)
 	for i := range f.bits {
-		f.bits[i] = make([]uint64, (n+63)/64)
+		f.bits[i] = f.bitWords[i*words : (i+1)*words : (i+1)*words]
 	}
+	f.rrNext = 0
 	f.rebuild()
-	return f, nil
+	return nil
 }
 
-// rebuild constructs a fresh certification state over the currently alive
-// lists and replays their logged entries into it. The replay is exact, not
+// rebuild readies the certification state over the currently alive lists
+// and replays their logged entries into it. The replay is exact, not
 // merely conservative: every unseen position of a surviving list is at least
 // that list's current frontier, so certifications made under the rebuilt
 // frontiers hold.
@@ -300,15 +296,14 @@ func newMedRankDriver(l lists, n, k int, policy Policy) (*medrankDriver, error) 
 // a position not yet fed for seen, and could be certified at too large a
 // median.
 func (f *medrankDriver) rebuild() {
-	m := len(f.aliveIdx)
-	front := make([]int64, m)
-	bits := make([][]uint64, m)
+	f.front = resize(f.front, len(f.aliveIdx))
+	f.slotBits = resize(f.slotBits, len(f.aliveIdx))
 	for li, orig := range f.aliveIdx {
-		front[li] = f.sources[orig].Peek2()
-		bits[li] = f.bits[orig]
+		f.front[li] = f.sources[orig].Peek2()
+		f.slotBits[li] = f.bits[orig]
 	}
-	run := newMedrankRun(f.n, f.k, front, bits)
-	f.run = run
+	run := &f.run
+	run.reset(f.n, f.k, f.front, f.slotBits)
 	for _, orig := range f.aliveIdx {
 		for _, e := range f.logs[orig] {
 			run.add(e)
@@ -319,7 +314,7 @@ func (f *medrankDriver) rebuild() {
 			run.onProbed(e.Elem)
 		}
 	}
-	if f.rrNext >= m {
+	if f.rrNext >= len(f.aliveIdx) {
 		f.rrNext = 0
 	}
 }
@@ -416,7 +411,9 @@ func (f *medrankDriver) record(li, orig int, e Entry) {
 }
 
 func (f *medrankDriver) answer() *Result {
-	winners, medians2 := f.run.finalTopK()
+	// By construction of certified(), every element that could precede the
+	// k-th winner is exact.
+	winners, medians2 := selectTopK(&f.sel, f.run.exactMed, f.k)
 	res := &Result{Winners: winners, Medians2: medians2}
 	if len(f.lost) > 0 {
 		res.Degraded = f.degraded(logPositions(winners, len(f.sources), f.logs))

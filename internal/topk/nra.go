@@ -3,7 +3,9 @@ package topk
 import (
 	"context"
 	"math"
-	"sort"
+
+	"repro/internal/faults"
+	"repro/internal/telemetry"
 )
 
 // This file implements the remaining two corners of the Fagin–Lotem–Naor
@@ -65,37 +67,43 @@ type nraCore struct {
 	n, m, k, needed int
 	frontier        frontiers  // per slot: doubled position of next unprobed entry
 	known           [][]uint64 // per slot: bitmap of elements with a known position
+	knownWords      []uint64   // the bitmaps' storage
 	seen            [][]int64  // per element: known doubled positions, ascending (nil once cleared)
 	rows            rowSlab    // where the seen rows are carved from
 	probed          []bool     // per element: ever had a position recorded
 	probedDistinct  int
-	minUnprobed     int              // smallest never-probed element ID
-	cleared         []bool           // provably outside the top k
-	live            []int            // probed, not cleared (compacted on checks)
-	bar             kSmallest[bound] // check's k smallest closed worst-case bounds
-	bufferPeak      int              // peak number of simultaneously held candidate buffers
+	minUnprobed     int                // smallest never-probed element ID
+	cleared         []bool             // provably outside the top k
+	live            []int              // probed, not cleared (compacted on checks)
+	bar             kSmallest[bound]   // check's k smallest closed worst-case bounds
+	sel             kSmallest[nraCand] // finalTopK's k best candidates
+	bufferPeak      int                // peak number of simultaneously held candidate buffers
 }
 
-// newNRACore builds a core over one slot per frontier of front, which it
-// takes over.
-func newNRACore(n, k int, front []int64) *nraCore {
+// reset readies the core for a run over one slot per frontier of front, which
+// it copies, keeping the storage of its previous run or rebuild.
+func (c *nraCore) reset(n, k int, front []int64) {
 	words := (n + 63) / 64
 	m := len(front)
-	c := &nraCore{
-		n: n, m: m, k: k,
-		needed:   (m + 1) / 2,
-		frontier: newFrontiers(front),
-		known:    make([][]uint64, m),
-		seen:     make([][]int64, n),
-		rows:     newRowSlab(n, m),
-		probed:   make([]bool, n),
-		cleared:  make([]bool, n),
-		bar:      newKSmallest(k, boundLess),
-	}
+	c.n, c.m, c.k = n, m, k
+	c.needed = (m + 1) / 2
+	c.frontier.reset(front)
+	c.knownWords = resize(c.knownWords, m*words)
+	clear(c.knownWords)
+	c.known = resize(c.known, m)
 	for i := range c.known {
-		c.known[i] = make([]uint64, words)
+		c.known[i] = c.knownWords[i*words : (i+1)*words : (i+1)*words]
 	}
-	return c
+	c.seen = resize(c.seen, n)
+	clear(c.seen)
+	c.rows.reset(n, m)
+	c.probed = resize(c.probed, n)
+	clear(c.probed)
+	c.cleared = resize(c.cleared, n)
+	clear(c.cleared)
+	c.probedDistinct, c.minUnprobed, c.bufferPeak = 0, 0, 0
+	c.live = c.live[:0]
+	c.bar.init(k, boundLess)
 }
 
 // knownIn reports whether slot li already holds element e's position.
@@ -242,17 +250,33 @@ func (c *nraCore) check() (done bool, blocker int) {
 	return done, blocker
 }
 
-// finalTopK extracts the answer at a certified stop: the k lexicographically
-// smallest (median-bound, id) pairs over every non-cleared element, which is
-// exactly the dominating set (everything else was cleared or never probed).
-// An element with no closed worst-case bound ranks by the bottom-of-order
-// sentinel, behind every winner.
-func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]int64) {
-	type cand struct {
-		e         int
-		med2, lo2 int64
+// nraCand is a candidate of the final answer: its certified median bound,
+// its best case and its ID, ordered by (med2, lo2, e).
+type nraCand struct {
+	e         int
+	med2, lo2 int64
+}
+
+func nraCandLess(a, b nraCand) bool {
+	if a.med2 != b.med2 {
+		return a.med2 < b.med2
 	}
-	cands := make([]cand, 0, len(c.live)+c.n-c.probedDistinct)
+	if a.lo2 != b.lo2 {
+		return a.lo2 < b.lo2
+	}
+	return a.e < b.e
+}
+
+// finalTopK extracts the answer at a certified stop: the k lexicographically
+// smallest (median-bound, best-case, id) triples over every non-cleared
+// element, which is exactly the dominating set (everything else was cleared
+// or never probed). An element with no closed worst-case bound ranks by the
+// bottom-of-order sentinel, behind every winner. The k best are kept in a
+// bounded heap and only they are sorted; an element whose median bound is
+// already above the k-th kept one cannot enter, so its best case is never
+// computed.
+func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]int64) {
+	c.sel.init(c.k, nraCandLess)
 	for e := 0; e < c.n; e++ {
 		if c.cleared[e] {
 			continue
@@ -261,33 +285,19 @@ func (c *nraCore) finalTopK() (winners []int, medians2 []int64, intervals [][2]i
 		if med == nraInf {
 			med = nraInf - 1 // bottom-of-order sentinel, ties broken by ID
 		}
-		cands = append(cands, cand{e, med, c.best2(e)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.med2 != b.med2 {
-			return a.med2 < b.med2
+		if c.sel.len() == c.k && (c.k == 0 || med > c.sel.max().med2) {
+			continue
 		}
-		if a.lo2 != b.lo2 {
-			return a.lo2 < b.lo2
-		}
-		return a.e < b.e
-	})
-	if len(cands) > c.k {
-		cands = cands[:c.k]
+		c.sel.push(nraCand{e, med, c.best2(e)})
 	}
-	winners = make([]int, 0, len(cands))
-	medians2 = make([]int64, 0, len(cands))
-	intervals = make([][2]int64, 0, len(cands))
-	for _, cd := range cands {
-		winners = append(winners, cd.e)
-		medians2 = append(medians2, cd.med2)
+	top := c.sel.sorted()
+	winners = make([]int, len(top))
+	medians2 = make([]int64, len(top))
+	intervals = make([][2]int64, len(top))
+	for i, cd := range top {
+		winners[i], medians2[i] = cd.e, cd.med2
 		hi := c.worst2(cd.e)
-		lo := cd.lo2
-		if lo > hi {
-			lo = hi
-		}
-		intervals = append(intervals, [2]int64{lo, hi})
+		intervals[i] = [2]int64{min(cd.lo2, hi), hi}
 	}
 	return winners, medians2, intervals
 }
@@ -309,40 +319,41 @@ type caDriver struct {
 	seqLogs  [][]Entry // per original list: every entry consumed sequentially
 	randLogs [][]Entry // per original list: every position fetched by random access
 
-	core       *nraCore
+	core       nraCore
 	rrNext     int
-	sinceRA    int // sorted rounds since the last random-access resolution
-	bufferPeak int // max over rebuilds of the core's candidate-buffer peak
+	sinceRA    int     // sorted rounds since the last random-access resolution
+	bufferPeak int     // max over rebuilds of the core's candidate-buffer peak
+	front      []int64 // rebuild's survivor frontiers
 }
 
-func newCADriver(l lists, n, k, ratio int) *caDriver {
-	m := len(l.sources)
-	f := &caDriver{
-		lists:    l,
-		n:        n,
-		k:        k,
-		ratio:    ratio,
-		seqLogs:  make([][]Entry, m),
-		randLogs: make([][]Entry, m),
+// reset readies the driver for an NRA (ratio 0) or CA run over sources,
+// keeping every buffer of its previous run.
+func (f *caDriver) reset(sources []faults.Source, acc *telemetry.AccessAccountant, n, k, ratio int) {
+	m := len(sources)
+	f.lists.reset(sources, acc)
+	f.n, f.k, f.ratio = n, k, ratio
+	f.seqLogs = resize(f.seqLogs, m)
+	f.randLogs = resize(f.randLogs, m)
+	for i := 0; i < m; i++ {
+		f.seqLogs[i], f.randLogs[i] = f.seqLogs[i][:0], f.randLogs[i][:0]
 	}
+	f.rrNext, f.bufferPeak = 0, 0
+	f.core.bufferPeak = 0
 	f.rebuild()
-	return f
 }
 
-// rebuild constructs a fresh certification core over the currently alive
-// lists and replays both logs of every survivor into it. Exact for the same
-// reason medrankDriver.rebuild is: every unseen position of a survivor is at
-// least that list's current frontier.
+// rebuild readies the certification core over the currently alive lists and
+// replays both logs of every survivor into it. Exact for the same reason
+// medrankDriver.rebuild is: every unseen position of a survivor is at least
+// that list's current frontier.
 func (f *caDriver) rebuild() {
-	if f.core != nil && f.core.bufferPeak > f.bufferPeak {
-		f.bufferPeak = f.core.bufferPeak
-	}
-	m := len(f.aliveIdx)
-	front := make([]int64, m)
+	core := &f.core
+	f.bufferPeak = max(f.bufferPeak, core.bufferPeak)
+	f.front = resize(f.front, len(f.aliveIdx))
 	for li, orig := range f.aliveIdx {
-		front[li] = f.sources[orig].Peek2()
+		f.front[li] = f.sources[orig].Peek2()
 	}
-	core := newNRACore(f.n, f.k, front)
+	core.reset(f.n, f.k, f.front)
 	for li, orig := range f.aliveIdx {
 		for _, e := range f.seqLogs[orig] {
 			core.add(li, e.Elem, e.Pos2)
@@ -351,8 +362,7 @@ func (f *caDriver) rebuild() {
 			core.add(li, e.Elem, e.Pos2)
 		}
 	}
-	f.core = core
-	if f.rrNext >= m {
+	if f.rrNext >= len(f.aliveIdx) {
 		f.rrNext = 0
 	}
 	f.sinceRA = 0
@@ -462,9 +472,7 @@ func (f *caDriver) kill(orig int, err error) error {
 
 func (f *caDriver) answer() *Result {
 	winners, medians2, intervals := f.core.finalTopK()
-	if f.core.bufferPeak > f.bufferPeak {
-		f.bufferPeak = f.core.bufferPeak
-	}
+	f.bufferPeak = max(f.bufferPeak, f.core.bufferPeak)
 	res := &Result{Winners: winners, Medians2: medians2, Intervals2: intervals, BufferPeak: f.bufferPeak}
 	if len(f.lost) > 0 {
 		// A random-accessed position is exactly as authoritative as a

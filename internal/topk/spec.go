@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/ranking"
@@ -132,23 +133,55 @@ func Run(ctx context.Context, spec Spec, sources []faults.Source, acc *telemetry
 	if acc == nil {
 		acc = telemetry.NewAccessAccountant(m)
 	}
-	l := newLists(sources, acc)
+	ws := workspaces.Get().(*workspace)
+	defer ws.put()
+	return ws.run(ctx, spec, sources, acc)
+}
+
+// workspace is the run state of the engine drivers, kept between runs: the
+// per-element arrays, the row slabs, the per-list logs and bitmaps. Run takes
+// one from a pool and puts it back once the Result holds copies of
+// everything it reports, so a warm run allocates its answer, not its state.
+// Each run (and each rebuild after a list death) resets the state it uses;
+// nothing carries over from one run to the next but storage.
+type workspace struct {
+	medrank medrankDriver
+	ta      taDriver
+	ca      caDriver
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// put drops the run's sources and accountant, so an idle workspace keeps no
+// caller's catalog reachable, and returns it to the pool.
+func (ws *workspace) put() {
+	ws.medrank.lists.release()
+	ws.ta.lists.release()
+	ws.ca.lists.release()
+	workspaces.Put(ws)
+}
+
+// run is Run on a validated spec over the workspace's state.
+func (ws *workspace) run(ctx context.Context, spec Spec, sources []faults.Source, acc *telemetry.AccessAccountant) (*Result, error) {
+	n := sources[0].N()
 	name := spec.Algo
 	var d driver
 	switch name {
 	case "", AlgoMedRank:
 		name = AlgoMedRank
-		md, err := newMedRankDriver(l, n, spec.K, spec.Policy)
-		if err != nil {
+		if err := ws.medrank.reset(sources, acc, n, spec.K, spec.Policy); err != nil {
 			return nil, err
 		}
-		d = md
+		d = &ws.medrank
 	case AlgoTA:
-		d = newTADriver(l, n, spec.K, spec.Theta)
+		ws.ta.reset(sources, acc, n, spec.K, spec.Theta)
+		d = &ws.ta
 	case AlgoNRA:
-		d = newCADriver(l, n, spec.K, 0)
+		ws.ca.reset(sources, acc, n, spec.K, 0)
+		d = &ws.ca
 	case AlgoCA:
-		d = newCADriver(l, n, spec.K, spec.CostRatio)
+		ws.ca.reset(sources, acc, n, spec.K, spec.CostRatio)
+		d = &ws.ca
 	default:
 		return nil, fmt.Errorf("topk: %w", CheckAlgo(name))
 	}
@@ -195,18 +228,22 @@ type lists struct {
 	lost     []int  // original indices of the dead lists, in death order
 }
 
-func newLists(sources []faults.Source, acc *telemetry.AccessAccountant) lists {
-	l := lists{
-		sources:  sources,
-		acc:      acc,
-		alive:    make([]bool, len(sources)),
-		aliveIdx: make([]int, len(sources)),
-	}
+// reset starts the bookkeeping over sources with every list alive, keeping
+// its storage.
+func (l *lists) reset(sources []faults.Source, acc *telemetry.AccessAccountant) {
+	l.sources, l.acc = sources, acc
+	l.alive = resize(l.alive, len(sources))
+	l.aliveIdx = resize(l.aliveIdx, len(sources))
 	for i := range sources {
 		l.alive[i] = true
 		l.aliveIdx[i] = i
 	}
-	return l
+	l.lost = l.lost[:0]
+}
+
+// release drops the references to the run's sources and accountant.
+func (l *lists) release() {
+	l.sources, l.acc = nil, nil
 }
 
 // fail classifies an access error on list orig: a context error aborts the

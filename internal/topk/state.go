@@ -27,19 +27,20 @@ type frontiers struct {
 	order []int   // the slots, ascending by (val, slot)
 }
 
-// newFrontiers orders the slots of val, which it takes over.
-func newFrontiers(val []int64) frontiers {
-	f := frontiers{val: val, order: make([]int, len(val))}
+// reset sets the frontiers to front's values and orders the slots. It keeps
+// its storage, so a pooled run orders its slots without allocating.
+func (f *frontiers) reset(front []int64) {
+	f.val = append(f.val[:0], front...)
+	f.order = resize(f.order, len(front))
 	for s := range f.order {
 		f.order[s] = s
 	}
 	slices.SortFunc(f.order, func(a, b int) int {
-		if c := cmp.Compare(val[a], val[b]); c != 0 {
+		if c := cmp.Compare(f.val[a], f.val[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return f
 }
 
 // precedes reports whether slot a's key (val[a], a) is below (v, s).
@@ -126,18 +127,24 @@ const slabRows = 64
 
 // rowSlab carves rows with room for width positions from slabs of up to
 // slabRows rows. A row released by an element no step reads again is carved
-// again before the slab grows.
+// again before the slab grows. The slabs outlive the run: the next run on the
+// same workspace carves from them before it allocates another, so a warm
+// workspace allocates no rows at all.
 type rowSlab struct {
-	width, rows int       // positions per row, rows per slab
+	width, rows int       // positions per row, rows per new slab
+	slabs       [][]int64 // every slab carved so far
+	next        int       // slabs[next:] are untouched by this run
 	slab        []int64   // unused tail of the current slab
 	spare       [][]int64 // released rows
 }
 
-// newRowSlab carves rows of width positions for a domain of n elements. A
-// slab holds no more rows than there are elements, so a catalog of many
-// lists over a small domain never allocates rows no element can take.
-func newRowSlab(n, width int) rowSlab {
-	return rowSlab{width: width, rows: min(slabRows, n)}
+// reset readies the slab for rows of width positions over a domain of n
+// elements and hands every kept slab out again. A new slab holds no more rows
+// than there are elements, so a catalog of many lists over a small domain
+// never allocates rows no element can take.
+func (s *rowSlab) reset(n, width int) {
+	s.width, s.rows = width, min(slabRows, n)
+	s.next, s.slab, s.spare = 0, nil, s.spare[:0]
 }
 
 // carve returns an empty row of capacity width.
@@ -147,8 +154,12 @@ func (s *rowSlab) carve() []int64 {
 		s.spare = s.spare[:n-1]
 		return row
 	}
-	if len(s.slab) < s.width {
-		s.slab = make([]int64, s.rows*s.width)
+	for len(s.slab) < s.width {
+		if s.next == len(s.slabs) {
+			s.slabs = append(s.slabs, make([]int64, s.rows*s.width))
+		}
+		s.slab = s.slabs[s.next]
+		s.next++
 	}
 	row := s.slab[:0:s.width]
 	s.slab = s.slab[s.width:]
@@ -176,15 +187,17 @@ func insertAscending(row []int64, v int64) []int64 {
 
 // kSmallest keeps the k smallest items pushed into it under less, as a
 // max-heap whose root is the k-th smallest once k items are in. It is typed,
-// so a push boxes nothing, and reset keeps its storage for the next round.
+// so a push boxes nothing, and reset keeps its storage for the next round and
+// the next run.
 type kSmallest[T any] struct {
 	k    int
 	less func(a, b T) bool
 	h    []T
 }
 
-func newKSmallest[T any](k int, less func(a, b T) bool) kSmallest[T] {
-	return kSmallest[T]{k: k, less: less, h: make([]T, 0, k)}
+// init empties the heap and sets the number of items it keeps.
+func (q *kSmallest[T]) init(k int, less func(a, b T) bool) {
+	q.k, q.less, q.h = k, less, q.h[:0]
 }
 
 // len returns how many items the heap holds, at most k.
@@ -228,6 +241,95 @@ func (q *kSmallest[T]) push(x T) {
 			}
 			h[i], h[c] = h[c], h[i]
 			i = c
+		}
+	}
+}
+
+// selectTopK returns, best-first, the k smallest (median, element) pairs of
+// the elements whose doubled median med[e] is known (below math.MaxInt64,
+// the unknown mark), split into winners and medians. It keeps k pairs in
+// sel, whose storage the next run reuses, and sorts only those: O(n log k)
+// where a full sort of the known elements was O(n log n).
+func selectTopK(sel *kSmallest[bound], med []int64, k int) (winners []int, medians2 []int64) {
+	sel.init(k, boundLess)
+	for e, v := range med {
+		if v < math.MaxInt64 {
+			sel.push(bound{v, e})
+		}
+	}
+	top := sel.sorted()
+	winners = make([]int, len(top))
+	if len(top) > 0 {
+		medians2 = make([]int64, len(top))
+	}
+	for i, b := range top {
+		winners[i], medians2[i] = b.e, b.v
+	}
+	return winners, medians2
+}
+
+// sorted sorts the held items ascending under less and returns them; the heap
+// must be reset before the next push.
+func (q *kSmallest[T]) sorted() []T {
+	slices.SortFunc(q.h, func(a, b T) int {
+		switch {
+		case q.less(a, b):
+			return -1
+		case q.less(b, a):
+			return 1
+		}
+		return 0
+	})
+	return q.h
+}
+
+// resize returns s with length n, reusing its storage when its capacity
+// allows; elements within the old capacity keep their values, so pooled
+// per-list logs keep their storage too.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// selectKth returns the k-th smallest (1-based) of xs, which it reorders. It
+// is quickselect with a three-way partition: expected O(len(xs)), and a run of
+// values equal to the pivot ends the search at once, so few-valued rows take
+// as many passes as they have distinct values at most.
+func selectKth(xs []int64, k int) int64 {
+	k--
+	lo, hi := 0, len(xs)
+	for {
+		if hi-lo <= 12 {
+			slices.Sort(xs[lo:hi])
+			return xs[k]
+		}
+		// Median of three as the pivot keeps sorted rows linear.
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		// xs[lo:lt] < p, xs[lt:i] == p, xs[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				xs[gt], xs[i] = v, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
 		}
 	}
 }

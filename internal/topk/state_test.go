@@ -32,7 +32,8 @@ func TestFrontiersStayOrdered(t *testing.T) {
 		for s := range val {
 			val[s] = int64(rng.Intn(6))
 		}
-		f := newFrontiers(slices.Clone(val))
+		var f frontiers
+		f.reset(val)
 		for step := 0; step < 300; step++ {
 			s := rng.Intn(m)
 			switch r := rng.Intn(10); {
@@ -147,8 +148,10 @@ func TestMergedBoundsMatchSortDefinitions(t *testing.T) {
 		rng.Shuffle(len(feed), func(i, j int) { feed[i], feed[j] = feed[j], feed[i] })
 
 		k := rng.Intn(n + 1)
-		run := newMedrankRun(n, k, slices.Clone(front), bits)
-		core := newNRACore(n, k, slices.Clone(front))
+		var run medrankRun
+		var core nraCore
+		run.reset(n, k, front, bits)
+		core.reset(n, k, front)
 		for _, x := range feed {
 			run.add(x.e)
 			core.add(x.li, x.e.Elem, x.e.Pos2)

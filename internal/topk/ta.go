@@ -4,9 +4,8 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"slices"
-	"sort"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -79,32 +78,31 @@ type taDriver struct {
 	rrNext   int
 	scratch  []int64 // kthAlive's reused buffer
 	cert     ApproxCertificate
+	sel      kSmallest[bound] // the answer's k best (median, element)
 }
 
-func newTADriver(l lists, n, k int, theta float64) *taDriver {
-	m := len(l.sources)
-	t := &taDriver{
-		lists:   l,
-		n:       n,
-		k:       k,
-		theta:   theta,
-		needed:  (m + 1) / 2,
-		pos:     make([][]int64, n),
-		rows:    newRowSlab(n, m),
-		med:     make([]int64, n),
-		kSmall:  newKSmallest(k, cmp.Less[int64]),
-		scratch: make([]int64, 0, m),
-		cert:    ApproxCertificate{Theta: theta, Ratio: 1},
-	}
-	front := make([]int64, m)
-	for i, s := range l.sources {
-		front[i] = s.Peek2()
-	}
-	t.frontier = newFrontiers(front)
+// reset readies the driver for a TA run over sources, keeping every buffer
+// of its previous run.
+func (t *taDriver) reset(sources []faults.Source, acc *telemetry.AccessAccountant, n, k int, theta float64) {
+	m := len(sources)
+	t.lists.reset(sources, acc)
+	t.n, t.k, t.theta = n, k, theta
+	t.needed = (m + 1) / 2
+	t.pos = resize(t.pos, n)
+	clear(t.pos)
+	t.rows.reset(n, m)
+	t.med = resize(t.med, n)
 	for e := range t.med {
 		t.med[e] = math.MaxInt64
 	}
-	return t
+	t.kSmall.init(k, cmp.Less[int64])
+	t.resolved, t.rrNext = 0, 0
+	t.cert = ApproxCertificate{Theta: theta, Ratio: 1}
+	t.scratch = resize(t.scratch, m)
+	for i, s := range sources {
+		t.scratch[i] = s.Peek2()
+	}
+	t.frontier.reset(t.scratch)
 }
 
 func (t *taDriver) drive(ctx context.Context) error {
@@ -248,7 +246,8 @@ func (t *taDriver) kill(j int, cause error) error {
 	return nil
 }
 
-// kthAlive returns the needed-th smallest of row restricted to alive lists.
+// kthAlive returns the needed-th smallest of row restricted to alive lists,
+// selected in expected linear time from a copy.
 func (t *taDriver) kthAlive(row []int64) int64 {
 	vals := t.scratch[:0]
 	for j, v := range row {
@@ -256,12 +255,12 @@ func (t *taDriver) kthAlive(row []int64) int64 {
 			vals = append(vals, v)
 		}
 	}
-	slices.Sort(vals)
-	return vals[t.needed-1]
+	t.scratch = vals
+	return selectKth(vals, t.needed)
 }
 
 func (t *taDriver) answer() *Result {
-	winners, medians2 := selectTopK(t.med, t.k)
+	winners, medians2 := selectTopK(&t.sel, t.med, t.k)
 	if t.cert.KthMedian2 == 0 && len(medians2) > 0 {
 		// The run resolved everything (or stopped by exhaustion): the
 		// certificate is exact, anchored on the reported worst winner.
@@ -273,7 +272,8 @@ func (t *taDriver) answer() *Result {
 			tTAApproxEarly.Inc()
 		}
 	}
-	res := &Result{Winners: winners, Medians2: medians2, Approx: &t.cert}
+	cert := t.cert // the driver's state goes back to the pool
+	res := &Result{Winners: winners, Medians2: medians2, Approx: &cert}
 	if len(t.lost) > 0 {
 		// Positions resolved before a death are exact; positions in lists
 		// dead before resolution are unknown.
@@ -284,34 +284,4 @@ func (t *taDriver) answer() *Result {
 		res.Degraded = t.degraded(obs)
 	}
 	return res
-}
-
-// selectTopK ranks resolved elements by (median, element ID) and returns the
-// first k with their doubled medians.
-func selectTopK(med []int64, k int) (winners []int, medians2 []int64) {
-	type cand struct {
-		e    int
-		med2 int64
-	}
-	cands := make([]cand, 0, len(med))
-	for e, v := range med {
-		if v < math.MaxInt64 {
-			cands = append(cands, cand{e, v})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].med2 != cands[b].med2 {
-			return cands[a].med2 < cands[b].med2
-		}
-		return cands[a].e < cands[b].e
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	winners = make([]int, 0, len(cands))
-	for _, c := range cands {
-		winners = append(winners, c.e)
-		medians2 = append(medians2, c.med2)
-	}
-	return winners, medians2
 }
