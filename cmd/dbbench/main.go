@@ -264,8 +264,7 @@ func sweepConfig(rng *rand.Rand, n, m, nv, k int, zipf, theta float64, trials in
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		acc := telemetry.NewAccessAccountant(len(rankings))
-		return topk.Run(ctx, spec, topk.ListSources(rankings, acc, nil), acc)
+		return topk.RunRankings(ctx, spec, rankings, nil)
 	}
 	var elapsed time.Duration
 	costRatios := make([]float64, len(engines))

@@ -268,8 +268,7 @@ func cmdTopK(args []string, stdin io.Reader, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	acc := telemetry.NewAccessAccountant(len(rs))
-	res, err := topk.Run(ctx, spec, topk.ListSources(rs, acc, nil), acc)
+	res, err := topk.RunRankings(ctx, spec, rs, nil)
 	if err != nil {
 		return err
 	}

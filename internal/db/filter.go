@@ -200,7 +200,7 @@ func (t *Table) TopKWhereContext(ctx context.Context, q FilteredQuery) (*QueryRe
 		rankings = append(rankings, pr)
 	}
 	spec := topk.Spec{K: q.K, Policy: topk.RoundRobin}
-	res, err := runQuery(ctx, spec, rankings, nil)
+	res, err := topk.RunRankings(ctx, spec, rankings, nil)
 	if err != nil {
 		return nil, err
 	}

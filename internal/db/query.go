@@ -84,13 +84,6 @@ type QueryResult struct {
 	Degraded *topk.Degraded
 }
 
-// runQuery runs spec over the index scans, each scan's source passed through
-// wrap when it is non-nil.
-func runQuery(ctx context.Context, spec topk.Spec, rankings []*ranking.PartialRanking, wrap faults.Wrapper) (*topk.Result, error) {
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	return topk.Run(ctx, spec, topk.ListSources(rankings, acc, wrap), acc)
-}
-
 // TopK answers a preference query with the streaming MEDRANK engine,
 // reading each index scan only as deeply as certification requires.
 func (t *Table) TopK(q Query) (*QueryResult, error) {
@@ -108,9 +101,11 @@ func (t *Table) TopKContext(ctx context.Context, q Query) (*QueryResult, error) 
 
 // TopKResilient answers a preference query over fallible index scans: wrap
 // decorates each scan's source (typically with faults.Inject and
-// faults.WithRetry; nil runs the infallible pipeline through the fallible
-// engine). If scans die mid-query the answer degrades to the survivors and
-// QueryResult.Degraded reports the loss; see topk.Run.
+// faults.WithRetry on the accountant it is handed; nil runs the infallible
+// pipeline through the fallible engine). The retry layer's failures and
+// retries then count in QueryResult.Access. If scans die mid-query the
+// answer degrades to the survivors and QueryResult.Degraded reports the
+// loss; see topk.Run.
 func (t *Table) TopKResilient(ctx context.Context, q Query, wrap faults.Wrapper) (*QueryResult, error) {
 	ctx, sp := telemetry.Start(ctx, "db.topk_resilient")
 	defer sp.End()
@@ -130,7 +125,7 @@ func (t *Table) topK(ctx context.Context, q Query, wrap faults.Wrapper) (*QueryR
 		return nil, err
 	}
 	spec := q.spec(q.K + q.Offset)
-	res, err := runQuery(ctx, spec, rankings, wrap)
+	res, err := topk.RunRankings(ctx, spec, rankings, wrap)
 	if err != nil {
 		return nil, err
 	}

@@ -57,11 +57,13 @@ func (o *observedSource) N() int       { return o.src.N() }
 
 // chaosWrap builds the standard resilient stack for TopKResilient — list
 // source → injector → observer → retry — returning the observers and the
-// external accountant the retry layer charges failures and retries to.
-func chaosWrap(lists int, planFor func(i int) faults.Plan, seed int64) (faults.Wrapper, []*observedSource, *telemetry.AccessAccountant) {
+// report of the run's accountant, which the retry layer charges failures
+// and retries to.
+func chaosWrap(lists int, planFor func(i int) faults.Plan, seed int64) (faults.Wrapper, []*observedSource, func() telemetry.AccessReport) {
 	obs := make([]*observedSource, lists)
-	acc := telemetry.NewAccessAccountant(lists)
-	wrap := func(i int, src faults.Source) faults.Source {
+	var runAcc *telemetry.AccessAccountant
+	wrap := func(i int, src faults.Source, acc *telemetry.AccessAccountant) faults.Source {
+		runAcc = acc
 		plan := planFor(i)
 		plan.Sleeper = &faults.FakeSleeper{}
 		inj := faults.Inject(src, plan)
@@ -72,7 +74,7 @@ func chaosWrap(lists int, planFor func(i int) faults.Plan, seed int64) (faults.W
 		pol.Sleeper = &faults.FakeSleeper{}
 		return faults.WithRetry(obs[i], pol, acc, i)
 	}
-	return wrap, obs, acc
+	return wrap, obs, func() telemetry.AccessReport { return runAcc.Report() }
 }
 
 // TestResilientAccountingReconcilesTransientSchedule runs TopKResilient
@@ -84,7 +86,9 @@ func chaosWrap(lists int, planFor func(i int) faults.Plan, seed int64) (faults.W
 //   - Retried equals Failed when no access exhausted its retry budget (no
 //     list died, so every transient was absorbed by a re-attempt),
 //   - the engine's per-list sequential/random counts equal the successful
-//     accesses the observer saw pass the injector (faults consume no entry).
+//     accesses the observer saw pass the injector (faults consume no entry),
+//   - QueryResult.Access reports the same Failed and Retried: the retry
+//     layer charges the run's own accountant.
 func TestResilientAccountingReconcilesTransientSchedule(t *testing.T) {
 	const n, k = 48, 10
 	tbl := accountingTable(t, n)
@@ -93,7 +97,7 @@ func TestResilientAccountingReconcilesTransientSchedule(t *testing.T) {
 	sawFaults := false
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		for _, rate := range []float64{0, 0.05, 0.15} {
-			wrap, obs, acc := chaosWrap(m, func(i int) faults.Plan {
+			wrap, obs, report := chaosWrap(m, func(i int) faults.Plan {
 				return faults.Plan{Seed: seed + 31*int64(i), TransientRate: rate}
 			}, seed)
 			res, err := tbl.TopKResilient(context.Background(), Query{Preferences: accountingPrefs, K: k}, wrap)
@@ -103,7 +107,7 @@ func TestResilientAccountingReconcilesTransientSchedule(t *testing.T) {
 			if res.Degraded != nil {
 				t.Fatalf("seed=%d rate=%v: unexpected degraded answer (lost %v)", seed, rate, res.Degraded.Lost)
 			}
-			rep := acc.Report()
+			rep := report()
 			var transients int64
 			for i, o := range obs {
 				transients += o.transients.Load()
@@ -122,6 +126,10 @@ func TestResilientAccountingReconcilesTransientSchedule(t *testing.T) {
 			}
 			if rep.Failed != transients {
 				t.Errorf("seed=%d rate=%v: accountant failures %d != injector transients %d", seed, rate, rep.Failed, transients)
+			}
+			if int64(res.Access.Failed) != transients || int64(res.Access.Retried) != transients {
+				t.Errorf("seed=%d rate=%v: QueryResult.Access failed=%d retried=%d, retry layer absorbed %d transients",
+					seed, rate, res.Access.Failed, res.Access.Retried, transients)
 			}
 			// No exhaustion (no list died), so every failure was followed by a
 			// re-attempt: the two tallies must be equal, not merely close.
@@ -154,7 +162,7 @@ func TestResilientAccountingReconcilesDeathSchedule(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for victim := 0; victim < m; victim++ {
 			const deathAfter = 5
-			wrap, obs, acc := chaosWrap(m, func(i int) faults.Plan {
+			wrap, obs, report := chaosWrap(m, func(i int) faults.Plan {
 				if i == victim {
 					return faults.Plan{Seed: seed, DeathAfter: deathAfter}
 				}
@@ -193,7 +201,7 @@ func TestResilientAccountingReconcilesDeathSchedule(t *testing.T) {
 			}
 			// A death is permanent, not transient: the retry layer must not
 			// have charged it as an absorbable failure.
-			rep := acc.Report()
+			rep := report()
 			if rep.FailedPerList[victim] != 0 || rep.RetriedPerList[victim] != 0 {
 				t.Errorf("seed=%d victim=%d: death charged as failed=%d retried=%d; permanent errors pass through unretried",
 					seed, victim, rep.FailedPerList[victim], rep.RetriedPerList[victim])
@@ -218,14 +226,14 @@ func TestResilientAccountingDeterministicReplay(t *testing.T) {
 		transients []int64
 	}
 	run := func() runOutcome {
-		wrap, obs, acc := chaosWrap(m, func(i int) faults.Plan {
+		wrap, obs, report := chaosWrap(m, func(i int) faults.Plan {
 			return faults.Plan{Seed: 7 + 31*int64(i), TransientRate: 0.1}
 		}, 7)
 		res, err := tbl.TopKResilient(context.Background(), Query{Preferences: accountingPrefs, K: k}, wrap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := acc.Report()
+		rep := report()
 		out := runOutcome{keys: res.Keys, access: res.Access.PerList, failed: rep.FailedPerList, retried: rep.RetriedPerList}
 		for _, o := range obs {
 			out.transients = append(out.transients, o.transients.Load())

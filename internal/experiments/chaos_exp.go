@@ -61,9 +61,8 @@ func E15Chaos(seed int64) (*Table, error) {
 		var degradedRuns, allDead, listsLost, exact, retries, completed int
 		var sumKH, sumKP float64
 		for trial, inst := range instances {
-			acc := telemetry.NewAccessAccountant(m)
 			sl := &faults.FakeSleeper{}
-			srcs := topk.ListSources(inst.in, acc, func(i int, s faults.Source) faults.Source {
+			res, err := topk.RunRankings(context.Background(), topk.Spec{K: k, Policy: topk.RoundRobin}, inst.in, func(i int, s faults.Source, acc *telemetry.AccessAccountant) faults.Source {
 				s = faults.Inject(s, faults.Plan{
 					Seed:          seed + int64(trial)*100 + int64(i),
 					TransientRate: 0.002,
@@ -79,7 +78,6 @@ func E15Chaos(seed int64) (*Table, error) {
 					Sleeper:     sl,
 				}, acc, i)
 			})
-			res, err := topk.Run(context.Background(), topk.Spec{K: k, Policy: topk.RoundRobin}, srcs, acc)
 			if err != nil {
 				// Every list died before the answer was certified; there is
 				// no degraded answer to measure. Reported separately so the

@@ -38,9 +38,8 @@ func e17Run(engine string, in []*ranking.PartialRanking, k, ratio int, plan *fau
 		return runTopK(in, spec)
 	}
 	spec.Policy = topk.RoundRobin
-	acc := telemetry.NewAccessAccountant(len(in))
 	sl := &faults.FakeSleeper{}
-	srcs := topk.ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+	return topk.RunRankings(context.Background(), spec, in, func(i int, s faults.Source, acc *telemetry.AccessAccountant) faults.Source {
 		p := *plan
 		p.Seed = planSeed + int64(i)
 		p.Sleeper = sl
@@ -49,7 +48,6 @@ func e17Run(engine string, in []*ranking.PartialRanking, k, ratio int, plan *fau
 		pol.Sleeper = sl
 		return faults.WithRetry(faults.Inject(s, p), pol, acc, i)
 	})
-	return topk.Run(context.Background(), spec, srcs, acc)
 }
 
 // E17MiddlewareCost prices the four top-k engines under the FLN middleware

@@ -7,14 +7,12 @@ import (
 
 	"repro/internal/randrank"
 	"repro/internal/ranking"
-	"repro/internal/telemetry"
 	"repro/internal/topk"
 )
 
 // runTopK runs spec over in-memory rankings.
 func runTopK(in []*ranking.PartialRanking, spec topk.Spec) (*topk.Result, error) {
-	acc := telemetry.NewAccessAccountant(len(in))
-	return topk.Run(context.Background(), spec, topk.ListSources(in, acc, nil), acc)
+	return topk.RunRankings(context.Background(), spec, in, nil)
 }
 
 // medrankAccess runs MEDRANK for the top k and formats its total access

@@ -23,6 +23,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"repro/internal/telemetry"
 )
 
 // Entry is one probed item of a ranked list: an element and its (doubled)
@@ -69,9 +71,11 @@ type Source interface {
 }
 
 // Wrapper decorates one list's source in a chaos pipeline: callers hand one
-// to an engine entry point (e.g. db.TopKResilient) to splice injectors and
-// retry policies between the engine and its lists.
-type Wrapper func(list int, src Source) Source
+// to an engine entry point (topk.RunRankings, db.TopKResilient) to splice
+// injectors and retry policies between the engine and its lists. acc is the
+// accountant the run charges, so a WithRetry layer built on it reports its
+// failures and retries in the run's own access report.
+type Wrapper func(list int, src Source, acc *telemetry.AccessAccountant) Source
 
 // ErrSourceDead marks a ranked list as permanently unavailable: every
 // subsequent access fails the same way. Engines test for it (or for any

@@ -67,7 +67,7 @@ func runAllocs(t *testing.T, ctx context.Context, in []*ranking.PartialRanking, 
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
 		acc := telemetry.NewAccessAccountant(len(in))
-		if _, err := Run(ctx, spec, ListSources(in, acc, nil), acc); err != nil {
+		if _, err := Run(ctx, spec, listSources(in, acc, nil), acc); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -112,7 +112,7 @@ func TestEngineBytesAllocCeiling(t *testing.T) {
 		spec := c.spec
 		spec.K = 1
 		acc := telemetry.NewAccessAccountant(m)
-		srcs := ListSources(in, acc, nil)
+		srcs := listSources(in, acc, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := new(workspace).run(context.Background(), spec, srcs, acc); err != nil {
@@ -176,7 +176,7 @@ func TestEngineServedBytesAllocCeiling(t *testing.T) {
 	for _, c := range servedSpecs {
 		run := func() {
 			acc := telemetry.NewAccessAccountant(len(in))
-			if _, err := Run(context.Background(), c.spec, ListSources(in, acc, nil), acc); err != nil {
+			if _, err := Run(context.Background(), c.spec, listSources(in, acc, nil), acc); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // runTA runs TA with slack theta over in-memory rankings.
 func runTA(ctx context.Context, rs []*ranking.PartialRanking, k int, theta float64) (*Result, error) {
 	acc := telemetry.NewAccessAccountant(len(rs))
-	return Run(ctx, Spec{Algo: AlgoTA, K: k, Theta: theta}, ListSources(rs, acc, nil), acc)
+	return Run(ctx, Spec{Algo: AlgoTA, K: k, Theta: theta}, listSources(rs, acc, nil), acc)
 }
 
 // exactMedians2 computes every element's doubled lower-median position

@@ -154,7 +154,7 @@ func BenchmarkEnginesUnderFaults(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				acc := telemetry.NewAccessAccountant(len(in))
-				srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+				srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 					if p := c.plan(i); p != nil {
 						p.Seed, p.Sleeper = int64(i), &faults.FakeSleeper{}
 						s = faults.Inject(s, *p)
@@ -183,7 +183,7 @@ func BenchmarkTracing(b *testing.B) {
 	spec := Spec{Algo: AlgoMedRank, K: 10, Policy: RoundRobin}
 	run := func(b *testing.B, ctx context.Context) {
 		acc := telemetry.NewAccessAccountant(len(in))
-		if _, err := Run(ctx, spec, ListSources(in, acc, nil), acc); err != nil {
+		if _, err := Run(ctx, spec, listSources(in, acc, nil), acc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,7 +45,7 @@ func TestMedRankOverFaultFreeMatchesMedRank(t *testing.T) {
 	in := chaosEnsemble(t, 400, 5)
 	for _, pol := range []Policy{GlobalMerge, RoundRobin, GlobalMergeBuckets, RoundRobinBuckets} {
 		acc := telemetry.NewAccessAccountant(len(in))
-		got, err := MedRankOver(context.Background(), ListSources(in, acc, nil), 10, pol, acc)
+		got, err := MedRankOver(context.Background(), listSources(in, acc, nil), 10, pol, acc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestMedRankOverSingleDeathDeterministic(t *testing.T) {
 		for victim := 0; victim < m; victim++ {
 			run := func() *Result {
 				acc := telemetry.NewAccessAccountant(m)
-				srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+				srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 					if i != victim {
 						return s
 					}
@@ -116,7 +116,7 @@ func TestMedRankOverQualityInterval(t *testing.T) {
 	j := (m + 1) / 2
 	for victim := 0; victim < m; victim++ {
 		acc := telemetry.NewAccessAccountant(m)
-		srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+		srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 			if i != victim {
 				return s
 			}
@@ -152,7 +152,7 @@ func TestMedRankOverTransientsAbsorbed(t *testing.T) {
 	seed := faultSeed(t)
 	acc := telemetry.NewAccessAccountant(len(in))
 	sl := &faults.FakeSleeper{}
-	srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+	srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 		s = faults.Inject(s, faults.Plan{Seed: seed + int64(i), TransientRate: 0.05})
 		return faults.WithRetry(s, faults.RetryPolicy{
 			MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: time.Second,
@@ -177,7 +177,7 @@ func TestMedRankOverRetryExhaustionKillsList(t *testing.T) {
 	in := chaosEnsemble(t, 200, 5)
 	const victim = 2
 	acc := telemetry.NewAccessAccountant(len(in))
-	srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+	srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 		if i != victim {
 			return s
 		}
@@ -202,7 +202,7 @@ func TestMedRankOverRetryExhaustionKillsList(t *testing.T) {
 func TestMedRankOverAllListsDead(t *testing.T) {
 	in := chaosEnsemble(t, 100, 3)
 	acc := telemetry.NewAccessAccountant(len(in))
-	srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+	srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 		return faults.Inject(s, faults.Plan{DeathAfter: 5})
 	})
 	_, err := MedRankOver(context.Background(), srcs, 5, RoundRobin, acc)
@@ -221,7 +221,7 @@ func TestMedRankOverDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	acc := telemetry.NewAccessAccountant(len(in))
-	srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+	srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 		return faults.Inject(s, faults.Plan{Latency: 2 * time.Millisecond})
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
@@ -265,7 +265,7 @@ func TestMedRankContextCancelled(t *testing.T) {
 func TestThresholdTopKOverFaultFreeMatchesTA(t *testing.T) {
 	in := chaosEnsemble(t, 400, 5)
 	acc := telemetry.NewAccessAccountant(len(in))
-	got, err := ThresholdTopKOver(context.Background(), ListSources(in, acc, nil), 10, acc)
+	got, err := ThresholdTopKOver(context.Background(), listSources(in, acc, nil), 10, acc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestThresholdTopKOverDeathDeterministic(t *testing.T) {
 	for victim := 0; victim < m; victim++ {
 		run := func() *Result {
 			acc := telemetry.NewAccessAccountant(m)
-			srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+			srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 				if i != victim {
 					return s
 				}
@@ -324,17 +324,17 @@ func TestMedRankOverValidation(t *testing.T) {
 	if _, err := MedRankOver(context.Background(), nil, 1, RoundRobin, nil); err == nil {
 		t.Error("no sources accepted")
 	}
-	if _, err := MedRankOver(context.Background(), ListSources(in, acc, nil), 51, RoundRobin, acc); err == nil {
+	if _, err := MedRankOver(context.Background(), listSources(in, acc, nil), 51, RoundRobin, acc); err == nil {
 		t.Error("k > n accepted")
 	}
-	if _, err := MedRankOver(context.Background(), ListSources(in, acc, nil), 1, Policy(99), acc); err == nil {
+	if _, err := MedRankOver(context.Background(), listSources(in, acc, nil), 1, Policy(99), acc); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	if _, err := ThresholdTopKOver(context.Background(), nil, 1, nil); err == nil {
 		t.Error("TA: no sources accepted")
 	}
 	// MedRankOver with k=0 certifies immediately.
-	res, err := MedRankOver(context.Background(), ListSources(in, acc, nil), 0, GlobalMerge, acc)
+	res, err := MedRankOver(context.Background(), listSources(in, acc, nil), 0, GlobalMerge, acc)
 	if err != nil || len(res.Winners) != 0 {
 		t.Errorf("k=0: res=%v err=%v", res, err)
 	}
@@ -379,7 +379,7 @@ func TestEnginesFailWhenScansEndEarly(t *testing.T) {
 			spec := c.spec
 			spec.K = k
 			acc := telemetry.NewAccessAccountant(m)
-			srcs := ListSources(in, acc, func(_ int, s faults.Source) faults.Source {
+			srcs := listSources(in, acc, func(_ int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 				return &endingSource{Source: s, left: cut}
 			})
 			res, err := Run(context.Background(), spec, srcs, acc)

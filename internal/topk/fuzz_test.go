@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // runCase is one engine run decoded from fuzz bytes.
@@ -69,7 +70,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add([]byte("c0000AA11"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeRunCase(data)
-		wrap := func(i int, s faults.Source) faults.Source {
+		wrap := func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 			if c.deaths[i] > 0 {
 				return faults.Inject(s, faults.Plan{DeathAfter: c.deaths[i]})
 			}

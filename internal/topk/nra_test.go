@@ -164,7 +164,7 @@ func TestNRACAOverDeathEquivalence(t *testing.T) {
 		for victim := 0; victim < m; victim++ {
 			run := func() *Result {
 				acc := telemetry.NewAccessAccountant(m)
-				srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+				srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 					if i != victim {
 						return s
 					}
@@ -219,7 +219,7 @@ func TestNRACAOverChaosMatrix(t *testing.T) {
 		for _, ratio := range []int{0, 10} {
 			sl := &faults.FakeSleeper{}
 			acc := telemetry.NewAccessAccountant(m)
-			srcs := ListSources(in, acc, func(i int, s faults.Source) faults.Source {
+			srcs := listSources(in, acc, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 				s = faults.Inject(s, faults.Plan{
 					Seed: seed + trial*100 + int64(i), TransientRate: 0.01, DeathRate: 0.004, Sleeper: sl,
 				})

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/randrank"
 	"repro/internal/ranking"
+	"repro/internal/telemetry"
 )
 
 // The three answer selections the engines made before they kept only the k
@@ -260,7 +261,7 @@ func TestRunConcurrentPooledState(t *testing.T) {
 		}
 	}
 	run := func(j job) (*Result, error) {
-		return runSpec(j.in, j.spec, func(i int, s faults.Source) faults.Source {
+		return runSpec(j.in, j.spec, func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 			if after, ok := j.deaths[i]; ok {
 				return faults.Inject(s, faults.Plan{DeathAfter: after})
 			}

@@ -94,8 +94,7 @@ func checkReference(t *testing.T, in []*ranking.PartialRanking, spec Spec, res *
 
 // runSpec runs spec over in-memory rankings, each list optionally wrapped.
 func runSpec(in []*ranking.PartialRanking, spec Spec, wrap faults.Wrapper) (*Result, error) {
-	acc := telemetry.NewAccessAccountant(len(in))
-	return Run(context.Background(), spec, ListSources(in, acc, wrap), acc)
+	return RunRankings(context.Background(), spec, in, wrap)
 }
 
 // guardSpecs are the engine configurations the differential guard runs.
@@ -146,7 +145,7 @@ func TestRunMatchesFullScanReference(t *testing.T) {
 			in := randrank.CatalogEnsemble(rand.New(rand.NewSource(seed)), sh.n, sh.m, sh.nValues, 1, 0.05).Rankings
 			for _, k := range []int{1, 5, 10} {
 				for _, plan := range guardPlans {
-					wrap := func(i int, s faults.Source) faults.Source {
+					wrap := func(i int, s faults.Source, _ *telemetry.AccessAccountant) faults.Source {
 						if after, ok := plan.deathAfter[i]; ok {
 							return faults.Inject(s, faults.Plan{DeathAfter: after})
 						}

@@ -31,16 +31,15 @@ func NewListSource(pr *ranking.PartialRanking, acc *telemetry.AccessAccountant, 
 	return &listSource{pr: pr, acc: acc, list: list}
 }
 
-// ListSources exposes each ranking as a list source charging list i to acc,
+// listSources exposes each ranking as a list source charging list i to acc,
 // passed through wrap when it is non-nil (typically faults.Inject and
-// faults.WithRetry, charging the same acc). It is how in-memory rankings
-// reach Run.
-func ListSources(rankings []*ranking.PartialRanking, acc *telemetry.AccessAccountant, wrap faults.Wrapper) []faults.Source {
+// faults.WithRetry, charging the same acc).
+func listSources(rankings []*ranking.PartialRanking, acc *telemetry.AccessAccountant, wrap faults.Wrapper) []faults.Source {
 	srcs := make([]faults.Source, len(rankings))
 	for i, r := range rankings {
 		srcs[i] = NewListSource(r, acc, i)
 		if wrap != nil {
-			srcs[i] = wrap(i, srcs[i])
+			srcs[i] = wrap(i, srcs[i], acc)
 		}
 	}
 	return srcs

@@ -9,7 +9,7 @@
 // reveals the next element and its bucket position), random access looks one
 // element's position up by identity. Every engine is written once against
 // that interface and dispatched by Run; in-memory rankings enter through
-// ListSources. The engines read as few entries as they can while still
+// RunRankings. The engines read as few entries as they can while still
 // certifying the answer — "as few elements of each partial ranking as are
 // necessary to determine the winner(s)". Every access is counted, so
 // experiments can compare the access cost against a full scan and against a

@@ -3,7 +3,6 @@ package rankties
 import (
 	"context"
 
-	"repro/internal/telemetry"
 	"repro/internal/topk"
 )
 
@@ -41,8 +40,7 @@ func MedRank(rankings []*PartialRanking, k int, policy MedRankPolicy) (*MedRankR
 // MedRankContext is MedRank under a caller context: cancellation or deadline
 // expiry aborts the run between probes with ctx.Err().
 func MedRankContext(ctx context.Context, rankings []*PartialRanking, k int, policy MedRankPolicy) (*MedRankResult, error) {
-	acc := telemetry.NewAccessAccountant(len(rankings))
-	return topk.Run(ctx, topk.Spec{K: k, Policy: policy}, topk.ListSources(rankings, acc, nil), acc)
+	return topk.RunRankings(ctx, topk.Spec{K: k, Policy: policy}, rankings, nil)
 }
 
 // Degraded annotates a MedRankResult whose input lists partially died
