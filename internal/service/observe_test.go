@@ -203,11 +203,12 @@ func TestAccessLogStructuredLines(t *testing.T) {
 	}
 }
 
-// TestStatsKeepsDeletedTenantForOneSnapshot is the satellite fix: a deleted
-// tenant's cache attribution must survive exactly one /stats cycle, marked
-// deleted, so churn-heavy load runs don't under-report.
-func TestStatsKeepsDeletedTenantForOneSnapshot(t *testing.T) {
-	_, ts := testServer(t, Config{})
+// TestStatsKeepsDeletedTenantRow checks that a deleted tenant's cache
+// attribution stays in /stats, marked deleted, with the counts of its
+// rankserve_cache_*_total series, so churn-heavy load runs don't
+// under-report.
+func TestStatsKeepsDeletedTenantRow(t *testing.T) {
+	svc, ts := testServer(t, Config{})
 	putCatalog(t, ts, "doomed", "movies", corpus, "")
 	// Two aggregates: first misses fill the cache, second hits it.
 	doReqH(t, http.MethodPost, ts.URL+"/v1/tenants/doomed/catalogs/movies/aggregate", `{}`, nil)
@@ -239,13 +240,29 @@ func TestStatsKeepsDeletedTenantForOneSnapshot(t *testing.T) {
 		t.Errorf("aggregate endpoint stats = %+v", ep)
 	}
 
-	// Second snapshot: the departed row is gone.
+	// Second snapshot: the row is still there, marked deleted, with the
+	// families' counts.
 	_, body = doReqH(t, http.MethodGet, ts.URL+"/stats", "", nil)
 	stats = decode[StatsResponse](t, body)
-	for _, ten := range stats.Tenants {
-		if ten.Name == "doomed" {
-			t.Errorf("deleted tenant still present in second snapshot: %+v", ten)
-		}
+	want := TenantStats{Name: "doomed", Deleted: true,
+		CacheHits: svc.mCacheHits.With("doomed").Value(), CacheMisses: svc.mCacheMisses.With("doomed").Value()}
+	want.CacheHitRate = float64(want.CacheHits) / float64(want.CacheHits+want.CacheMisses)
+	if len(stats.Tenants) != 1 || stats.Tenants[0] != want {
+		t.Errorf("second snapshot tenants = %+v, want [%+v]", stats.Tenants, want)
+	}
+
+	// A re-created tenant's row is live again and counts its earlier
+	// lifetime too, as /metrics does.
+	putCatalog(t, ts, "doomed", "movies", corpus, "")
+	doReqH(t, http.MethodPost, ts.URL+"/v1/tenants/doomed/catalogs/movies/aggregate", `{}`, nil)
+	_, body = doReqH(t, http.MethodGet, ts.URL+"/stats", "", nil)
+	stats = decode[StatsResponse](t, body)
+	if len(stats.Tenants) != 1 {
+		t.Fatalf("tenants after re-create = %+v", stats.Tenants)
+	}
+	if got := stats.Tenants[0]; got.Deleted || got.Catalogs != 1 ||
+		got.CacheMisses != want.CacheMisses || got.CacheHits <= want.CacheHits {
+		t.Errorf("re-created tenant row = %+v, want live with both lifetimes' traffic (before: %+v)", got, want)
 	}
 }
 
