@@ -201,22 +201,6 @@ func (c *Cache) Put(k Key, v float64) {
 	tInserts.Inc()
 }
 
-// GetOrCompute returns the cached value for k, or computes, caches, and
-// returns it. The shard lock is not held across compute, so concurrent
-// misses on one key may compute it more than once; the computes are pure, so
-// the duplicates agree and the last insert wins.
-func (c *Cache) GetOrCompute(k Key, compute func() (float64, error)) (float64, error) {
-	if v, ok := c.Get(k); ok {
-		return v, nil
-	}
-	v, err := compute()
-	if err != nil {
-		return 0, err
-	}
-	c.Put(k, v)
-	return v, nil
-}
-
 // Len returns the live entry count across all shards.
 func (c *Cache) Len() int {
 	total := 0

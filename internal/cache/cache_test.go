@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -115,27 +114,6 @@ func TestCapacityBound(t *testing.T) {
 	}
 	if c.Stats().Evictions == 0 {
 		t.Error("overfilled cache never evicted")
-	}
-}
-
-func TestGetOrCompute(t *testing.T) {
-	c := New(16)
-	k := PairKey(2, fp(5, 6), fp(7, 8))
-	calls := 0
-	compute := func() (float64, error) { calls++; return 42, nil }
-	for i := 0; i < 3; i++ {
-		v, err := c.GetOrCompute(k, compute)
-		if err != nil || v != 42 {
-			t.Fatalf("GetOrCompute = %v, %v", v, err)
-		}
-	}
-	if calls != 1 {
-		t.Errorf("compute ran %d times, want 1", calls)
-	}
-	boom := errors.New("boom")
-	_, err := c.GetOrCompute(PairKey(2, fp(9, 9), fp(9, 9)), func() (float64, error) { return 0, boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
 	}
 }
 

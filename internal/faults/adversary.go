@@ -53,20 +53,6 @@ func (k AdversaryKind) String() string {
 	}
 }
 
-// ParseAdversaryKind resolves a kind's wire/CLI name.
-func ParseAdversaryKind(s string) (AdversaryKind, error) {
-	switch s {
-	case "reversal":
-		return ReversalSpam, nil
-	case "clique":
-		return CollusionClique, nil
-	case "noise":
-		return NoiseVoters, nil
-	default:
-		return 0, fmt.Errorf("faults: unknown adversary kind %q (want reversal, clique, or noise)", s)
-	}
-}
-
 // AdversaryPlan configures one deterministic voter injection.
 type AdversaryPlan struct {
 	// Seed drives the injector's private random stream (adversary content

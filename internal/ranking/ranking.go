@@ -237,16 +237,6 @@ func (pr *PartialRanking) BucketIndices() []int { return pr.bucketOf }
 // position vector: Pos2(e) = BucketPositions2()[BucketIndices()[e]].
 func (pr *PartialRanking) BucketPositions2() []int64 { return pr.pos2 }
 
-// AppendPositions2 appends the doubled position vector to dst and returns
-// the extended slice, allocating only when dst lacks capacity. It is the
-// reuse-friendly form of Positions2.
-func (pr *PartialRanking) AppendPositions2(dst []int64) []int64 {
-	for e := 0; e < pr.n; e++ {
-		dst = append(dst, pr.pos2[pr.bucketOf[e]])
-	}
-	return dst
-}
-
 // Positions returns the full position vector sigma(0..n-1), the F-profile of
 // Section 3.1. The slice is freshly allocated.
 func (pr *PartialRanking) Positions() []float64 {
