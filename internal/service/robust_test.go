@@ -178,16 +178,15 @@ func TestTopKTrimResilientDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	keptIdx := []int{0, 1, 2, 4}
-	acc := telemetry.NewAccessAccountant(len(keptIdx))
-	sources := make([]faults.Source, len(keptIdx))
+	kept := make([]*ranking.PartialRanking, len(keptIdx))
 	for i, orig := range keptIdx {
-		src := faults.Inject(topk.NewListSource(rankings[orig], acc, i), faults.Plan{
-			Seed:      chaosSeed + int64(i),
-			DeathRate: 0.1,
-		})
-		sources[i] = faults.WithRetry(src, faults.DefaultRetryPolicy(), acc, i)
+		kept[i] = rankings[orig]
 	}
-	want, err := topk.MedRankOver(context.Background(), sources, k, topk.GlobalMerge, acc)
+	spec := topk.Spec{Algo: topk.AlgoMedRank, K: k, Policy: topk.GlobalMerge}
+	want, err := topk.RunRankings(context.Background(), spec, kept, func(i int, src faults.Source, acc *telemetry.AccessAccountant) faults.Source {
+		src = faults.Inject(src, faults.Plan{Seed: chaosSeed + int64(i), DeathRate: 0.1})
+		return faults.WithRetry(src, faults.DefaultRetryPolicy(), acc, i)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
